@@ -4,203 +4,124 @@
    format) or from the built-in design catalog. Output is a CSV dump, an
    ASCII plot of selected species, or a final-state summary.
 
-   With --connect the simulation is delegated to a running crnserved
-   daemon over its length-prefixed JSON protocol; stdout is
-   byte-identical to direct execution for the final-state, ensemble and
-   sweep modes. *)
+   Every mode builds the request the daemon protocol takes. Without
+   --connect that request runs through the daemon's own pipeline in this
+   process (Service.Server.call); with --connect it goes to a running
+   crnserved daemon or crnsgate gateway. Both answers print through the
+   one formatter below, so local, daemon and gateway output agree by
+   construction. *)
 
 open Cmdliner
+module J = Service.Json
 
-let load source =
-  match Designs.Catalog.find source with
-  | Some entry -> entry.Designs.Catalog.build ()
-  | None ->
-      if Sys.file_exists source then Crn.Parser.network_of_file source
-      else
-        failwith
-          (Printf.sprintf
-             "%S is neither a file nor a built-in design (available: %s)"
-             source
-             (String.concat ", " (Designs.Catalog.names ())))
+let unknown_source source =
+  failwith
+    (Printf.sprintf "%S is neither a file nor a built-in design (available: %s)"
+       source
+       (String.concat ", " (Designs.Catalog.names ())))
 
-let method_of_string = function
-  | "dopri5" -> Ode.Driver.Dopri5
-  | "rosenbrock" -> Ode.Driver.Rosenbrock
-  | s -> (
-      match float_of_string_opt s with
-      | Some h when h > 0. -> Ode.Driver.Rk4 h
-      | _ -> failwith "method must be dopri5, rosenbrock, or an rk4 step size")
+(* the network as the request ships it: catalog designs by name (so the
+   daemon's source memo keys on the name), files as inline text; --focus
+   slices and ships the slice as canonical text. The network itself
+   comes along, built on demand, for the local lint report. *)
+let network_json source focus =
+  let catalog = Designs.Catalog.find source in
+  let build () =
+    match catalog with
+    | Some entry -> entry.Designs.Catalog.build ()
+    | None when Sys.file_exists source -> Crn.Parser.network_of_file source
+    | None -> unknown_source source
+  in
+  match focus with
+  | [] ->
+      let json =
+        if Option.is_some catalog then J.Obj [ ("catalog", J.str source) ]
+        else if Sys.file_exists source then
+          J.Obj
+            [
+              ( "text",
+                J.str (In_channel.with_open_bin source In_channel.input_all) );
+            ]
+        else unknown_source source
+      in
+      (json, lazy (build ()))
+  | names ->
+      let slice = Crn.Slice.extract (build ()) names in
+      Printf.eprintf "focused on %s: %d species, %d reactions\n"
+        (String.concat ", " names)
+        (Crn.Network.n_species slice)
+        (Crn.Network.n_reactions slice);
+      (J.Obj [ ("text", J.str (Crn.Network.to_string slice)) ], lazy slice)
 
-(* The engine universe. --engine is the one switch; --stochastic survives
-   as a deprecated alias for --engine ssa so existing scripts keep
-   working. *)
-type engine = Ode_engine | Ssa_engine | Tau_engine | Hybrid_engine
+(* A local run reports the network's structural lint before it runs; a
+   network that does not build is left to the request to report, as the
+   daemon would. *)
+let print_lint net =
+  match Crn.Validate.report (Lazy.force net) with
+  | "" -> ()
+  | report -> Printf.eprintf "lint:\n%s\n" report
+  | exception _ -> ()
 
-let engine_name = function
-  | Ode_engine -> "ode"
-  | Ssa_engine -> "ssa"
-  | Tau_engine -> "tau"
-  | Hybrid_engine -> "hybrid"
-
-let resolve_engine ~stochastic = function
-  | Some "ode" -> Ode_engine
-  | Some "ssa" -> Ssa_engine
-  | Some "tau" -> Tau_engine
-  | Some "hybrid" -> Hybrid_engine
-  | Some other ->
-      failwith
-        (Printf.sprintf "unknown engine %S (ode, ssa, tau, hybrid)" other)
-  | None ->
-      if stochastic then begin
-        Printf.eprintf
-          "crnsim: note: --stochastic is deprecated; use --engine ssa\n";
-        Ssa_engine
-      end
-      else Ode_engine
-
-let stochastic_engine = function
-  | Ode_engine -> false
-  | Ssa_engine | Tau_engine | Hybrid_engine -> true
-
-let print_hybrid_stats (s : Hybrid.Engine.stats) =
-  Printf.eprintf
-    "hybrid: %d exact + %d tau events (%d leaps), %d ode slices, %d \
-     repartitions, %d mode switches, %d rejected, fast partition %d/%d at \
-     end (peak %d)\n"
-    s.Hybrid.Engine.n_ssa_events s.Hybrid.Engine.n_tau_events
-    s.Hybrid.Engine.n_tau_leaps s.Hybrid.Engine.n_ode_steps
-    s.Hybrid.Engine.n_repartitions s.Hybrid.Engine.n_mode_switches
-    s.Hybrid.Engine.n_rejected s.Hybrid.Engine.final_n_fast
-    (s.Hybrid.Engine.final_n_fast + s.Hybrid.Engine.final_n_slow)
-    s.Hybrid.Engine.peak_n_fast
-
-(* Resolve a --jobs request against the hardware: more domains than
-   cores only time-slice the same silicon (the old BENCH files record
-   sub-1.0 "speedups" from exactly that), so the fan-outs below clamp —
-   with a one-line warning so a forced request is not silently ignored.
-   Results are identical for every job count either way. *)
-let effective_jobs ~what requested =
+(* The library clamps a fan-out to the cores it has (more domains only
+   time-slice the same silicon); a local run says so, so that a forced
+   --jobs is not silently ignored. Returns the domains the run uses. *)
+let domains_used ~what ~tasks requested =
   let cores = Numeric.Domain_pool.default_jobs () in
-  match requested with
-  | None -> cores
+  (match requested with
   | Some j when j > cores ->
       Printf.eprintf
         "crnsim: %s: %d jobs requested but only %d core(s) available; \
-         clamping to %d (results are identical for every job count)\n" what j
-        cores cores;
-      cores
-  | Some j -> j
+         clamping to %d (results are identical for every job count)\n"
+        what j cores cores
+  | _ -> ());
+  min (min (Option.value ~default:cores requested) cores) tasks
 
-(* ensemble mode: many stochastic trajectories fanned across domains;
-   reports per-species mean +- std of the final state instead of a trace.
-   The model is compiled once and shared read-only; each worker domain
-   reuses one simulation arena across its trajectories. *)
-let run_ensemble ~env ~engine ~t1 ~seed ~runs ~jobs ~csv_out ~cancel
-    ~pop_threshold ~prop_threshold ~repartition_every net =
-  let jobs = effective_jobs ~what:"ensemble" jobs in
-  let t0 = Unix.gettimeofday () in
-  let seed = Int64.of_int seed in
-  let finals =
-    match engine with
-    | Ode_engine -> failwith "--runs needs a stochastic engine (ssa, tau, hybrid)"
-    | Ssa_engine ->
-        let model = Ssa.Gillespie.compile_model env net in
-        Ssa.Ensemble.map_with ~jobs ~seed
-          ~init_worker:(fun () -> Ssa.Gillespie.make_arena model)
-          ~runs
-          (fun arena _ s ->
-            (Ssa.Gillespie.run ~env ~seed:s ~arena ~cancel ~t1 net)
-              .Ssa.Gillespie.final)
-    | Tau_engine ->
-        let model = Ssa.Tau_leap.compile_model env net in
-        Ssa.Ensemble.map_with ~jobs ~seed
-          ~init_worker:(fun () -> Ssa.Tau_leap.make_arena model)
-          ~runs
-          (fun arena _ s ->
-            (Ssa.Tau_leap.run ~env ~seed:s ~arena ~cancel ~t1 net)
-              .Ssa.Tau_leap.final)
-    | Hybrid_engine ->
-        let model = Hybrid.Engine.compile_model env net in
-        Ssa.Ensemble.map_with ~jobs ~seed
-          ~init_worker:(fun () -> Hybrid.Engine.make_arena model)
-          ~runs
-          (fun arena _ s ->
-            (Hybrid.Engine.run ~env ~seed:s ~pop_threshold ~prop_threshold
-               ~repartition_every ~arena ~cancel ~t1 net)
-              .Hybrid.Engine.final)
+(* ------------------------------------------------------------ requests *)
+
+type mode = Final | Trace | Ensemble | Sweep | Validate
+
+(* Every engine knob goes out with every request: each op reads its
+   engine's knobs from the registry and ignores the rest. *)
+let request ~mode ~engine ~network ~t1 ~ratio ~method_name ~seed ~runs ~jobs
+    ~sweep_ratios ~sweep_jobs ~deadline_ms ~pop_threshold ~prop_threshold
+    ~repartition_every =
+  let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+  let sim =
+    [
+      ("network", network);
+      ("t1", J.num t1);
+      ("ratio", J.num ratio);
+      ("method", J.str method_name);
+      ("seed", J.int seed);
+      ("pop_threshold", J.num pop_threshold);
+      ("prop_threshold", J.num prop_threshold);
+      ("repartition_every", J.int repartition_every);
+    ]
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  let jobs_used = min jobs runs in
-  Printf.eprintf "ensemble (%s): %d stochastic runs on %d domain(s) in %.2fs\n"
-    (engine_name engine) runs jobs_used wall;
-  let names = Crn.Network.species_names net in
-  let column i = Array.map (fun f -> f.(i)) finals in
-  let stats =
-    Array.mapi
-      (fun i name ->
-        let xs = column i in
-        (name, Numeric.Stats.mean xs, Numeric.Stats.stddev xs))
-      names
+  let fields =
+    match mode with
+    | Final -> ("op", J.str engine) :: sim
+    | Trace ->
+        (* the ode engine records every 5th accepted step *)
+        (("op", J.str "trace") :: ("engine", J.str engine) :: sim)
+        @ [ ("thin", J.int 5) ]
+    | Ensemble ->
+        (("op", J.str "ensemble") :: ("engine", J.str engine) :: sim)
+        @ [ ("runs", J.int runs) ] @ opt "jobs" J.int jobs
+    | Sweep ->
+        [
+          ("op", J.str "sweep");
+          ("network", network);
+          ("t1", J.num t1);
+          ("method", J.str method_name);
+          ("ratios", J.List (List.map J.num sweep_ratios));
+        ]
+        @ opt "jobs" J.int sweep_jobs
+    | Validate -> [ ("op", J.str "validate"); ("network", network) ]
   in
-  (match csv_out with
-  | Some path ->
-      Analysis.Csv.write_rows ~path ~header:[ "species"; "mean"; "std" ]
-        (Array.to_list
-           (Array.map
-              (fun (name, m, s) ->
-                [ name; Printf.sprintf "%.17g" m; Printf.sprintf "%.17g" s ])
-              stats));
-      Printf.printf "wrote final-state statistics to %s\n" path
-  | None -> ());
-  Printf.printf "final state at t = %g (mean +- std over %d runs):\n" t1 runs;
-  Array.iter
-    (fun (name, m, s) ->
-      if m > 1e-6 then Printf.printf "  %-24s %10.4f +- %8.4f\n" name m s)
-    stats
+  J.Obj (fields @ opt "deadline_ms" J.num deadline_ms)
 
-(* rate-ratio sweep mode: the same network simulated deterministically at
-   many fast/slow separations, fanned across domains; reports the final
-   state at each ratio (identical for every --sweep-jobs value) *)
-let run_rate_sweep ~t1 ~method_name ~sweep_jobs ~csv_out ~cancel net ratios =
-  let ratios = Array.of_list ratios in
-  let jobs = effective_jobs ~what:"sweep" sweep_jobs in
-  let t0 = Unix.gettimeofday () in
-  let finals =
-    Ode.Sweep.final_states ~jobs ~method_:(method_of_string method_name)
-      ~cancel ~t1 net ~ratios
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let n = Array.length ratios in
-  let jobs_used = min jobs n in
-  Printf.eprintf "sweep: %d deterministic points on %d domain(s) in %.2fs\n" n
-    jobs_used wall;
-  let names = Crn.Network.species_names net in
-  (match csv_out with
-  | Some path ->
-      Analysis.Csv.write_rows ~path
-        ~header:("ratio" :: Array.to_list names)
-        (Array.to_list
-           (Array.mapi
-              (fun i final ->
-                Printf.sprintf "%.17g" ratios.(i)
-                :: Array.to_list
-                     (Array.map (Printf.sprintf "%.17g") final))
-              finals));
-      Printf.printf "wrote final states for %d ratios to %s\n" n path
-  | None -> ());
-  Array.iteri
-    (fun i final ->
-      Printf.printf "ratio %g: final state at t = %g:\n" ratios.(i) t1;
-      Array.iteri
-        (fun s name ->
-          if final.(s) > 1e-6 then
-            Printf.printf "  %-24s %10.4f\n" name final.(s))
-        names)
-    finals
-
-(* ------------------------------------------------- client (--connect) *)
-
-module J = Service.Json
+(* ---------------------------------------------------------- formatting *)
 
 let json_floats j =
   match J.to_list j with
@@ -231,48 +152,26 @@ let json_field result key =
   | Some v -> v
   | None -> failwith (Printf.sprintf "malformed server response (no %S)" key)
 
-(* the network as the request ships it: catalog designs by name (so the
-   daemon's source memo keys on the name), files as inline text; --focus
-   slices locally and ships the slice as canonical text *)
-let network_json source focus =
-  match focus with
-  | [] ->
-      if Option.is_some (Designs.Catalog.find source) then
-        J.Obj [ ("catalog", J.str source) ]
-      else if Sys.file_exists source then
-        J.Obj
-          [ ("text", J.str (In_channel.with_open_bin source In_channel.input_all)) ]
-      else
-        failwith
-          (Printf.sprintf
-             "%S is neither a file nor a built-in design (available: %s)"
-             source
-             (String.concat ", " (Designs.Catalog.names ())))
-  | names ->
-      let slice = Crn.Slice.extract (load source) names in
-      Printf.eprintf "focused on %s: %d species, %d reactions\n"
-        (String.concat ", " names)
-        (Crn.Network.n_species slice)
-        (Crn.Network.n_reactions slice);
-      J.Obj [ ("text", J.str (Crn.Network.to_string slice)) ]
+(* a failed response, by the exit code of its error *)
+exception Failed of int
 
-exception Remote_error of int
-
-let handle_envelope resp =
+(* the result of an ok envelope; a failed one prints its message and
+   raises [Failed] *)
+let result_of ~remote envelope =
+  let resp = Service.Client.response_of_json envelope in
   (match resp.Service.Client.metrics with
-  | Some m ->
+  | Some m when remote ->
       let f key =
         Option.value ~default:0. (Option.bind (J.member key m) J.to_float)
       in
       let cache =
-        Option.value ~default:"n/a"
-          (Option.bind (J.member "cache" m) J.to_str)
+        Option.value ~default:"n/a" (Option.bind (J.member "cache" m) J.to_str)
       in
       Printf.eprintf
         "server: cache %s, queue %.1f ms, compile %.1f ms, run %.1f ms, \
          total %.1f ms\n"
         cache (f "queue_wait_ms") (f "compile_ms") (f "run_ms") (f "total_ms")
-  | None -> ());
+  | _ -> ());
   if resp.Service.Client.ok then
     match resp.Service.Client.result with
     | Some result -> result
@@ -282,26 +181,21 @@ let handle_envelope resp =
       (Option.value ~default:"unknown server error"
          resp.Service.Client.error_message);
     raise
-      (Remote_error
+      (Failed
          (match resp.Service.Client.error with
          | Some err -> Service.Error.exit_code err
          | None -> 70))
   end
 
-let remote_call client req =
-  handle_envelope (Service.Client.request client req)
-
-(* the streamed trace op: the header frame opens the trace, each chunk
-   frame appends its samples, and the final envelope (metrics, work
-   counters) is handled like any other response — so the rebuilt trace
-   feeds the same CSV/plot code as a local run, byte-identically *)
-let remote_trace client req =
+(* the trace op's frames: the header opens the trace, each chunk
+   appends its samples *)
+let trace_collector () =
   let trace = ref None in
   let on_frame j =
     match J.member "stream" j with
     | Some _ ->
-        let names = json_strings (json_field j "species") in
-        trace := Some (Ode.Trace.create ~names)
+        trace :=
+          Some (Ode.Trace.create ~names:(json_strings (json_field j "species")))
     | None -> (
         match !trace with
         | None -> failwith "malformed server response (chunk before header)"
@@ -314,420 +208,103 @@ let remote_trace client req =
                   xs
             | None -> failwith "malformed server response (expected array)"))
   in
-  let final = Service.Client.call_stream client req ~on_frame in
-  let result =
-    handle_envelope (Service.Client.response_of_json final)
+  let get () =
+    match !trace with
+    | Some tr -> tr
+    | None -> failwith "malformed server response (no stream header)"
   in
-  match !trace with
-  | Some tr -> (tr, result)
-  | None -> failwith "malformed server response (no stream header)"
+  (on_frame, get)
 
-let print_final_block ~t1 names finals =
+let print_state ~t1 names state =
   Printf.printf "final state at t = %g:\n" t1;
   Array.iteri
     (fun i name ->
-      if finals.(i) > 1e-6 then
-        Printf.printf "  %-24s %10.4f\n" name finals.(i))
+      if state.(i) > 1e-6 then Printf.printf "  %-24s %10.4f\n" name state.(i))
     names
 
-let run_remote ~connect ~source ~t1 ~ratio ~method_name ~csv_out
-    ~plot_species ~engine ~seed ~runs ~jobs ~final_only ~focus ~sweep_ratios
-    ~sweep_jobs ~deadline_ms ~retries ~retry_budget_ms ~pop_threshold
-    ~prop_threshold ~repartition_every =
-  if runs < 1 then failwith "--runs must be >= 1";
-  if retries < 0 then failwith "--retries must be >= 0";
-  if retry_budget_ms <= 0. then failwith "--retry-budget-ms must be > 0";
-  let address =
-    match Service.Addr.of_string connect with
-    | Ok a -> a
-    | Error msg -> failwith msg
+(* the engine's own work summary, from its result fields *)
+let print_summary result =
+  let int j key =
+    Option.value ~default:0 (Option.bind (J.member key j) J.to_int)
   in
-  let network = network_json source focus in
-  let opt_int key = function
-    | Some v -> [ (key, J.int v) ]
-    | None -> []
-  in
-  let deadline =
-    match deadline_ms with
-    | Some ms -> [ ("deadline_ms", J.num ms) ]
-    | None -> []
-  in
-  (* the daemon enforces the deadline and answers deadline_exceeded; the
-     socket-read deadline is a backstop (budget + grace) so a daemon
-     that accepts and then never responds cannot hang the client *)
-  let read_deadline_ms =
-    Option.map (fun ms -> Float.max ms 1. +. 1000.) deadline_ms
-  in
-  let client =
-    Service.Client.connect ~retries ~retry_budget_ms
-      ~retry_seed:(Int64.of_int seed) ?read_deadline_ms address
-  in
-  Fun.protect
-    ~finally:(fun () -> Service.Client.close client)
-    (fun () ->
-      if sweep_ratios <> [] then begin
-        if stochastic_engine engine then
-          failwith
-            "--sweep-ratio is a deterministic mode; use the default \
-             --engine ode";
-        List.iter
-          (fun r ->
-            if r <= 0. then failwith "--sweep-ratio values must be > 0")
-          sweep_ratios;
-        let result =
-          remote_call client
-            (J.Obj
-               ([
-                  ("op", J.str "sweep");
-                  ("network", network);
-                  ("t1", J.num t1);
-                  ("method", J.str method_name);
-                  ("ratios", J.List (List.map J.num sweep_ratios));
-                ]
-               @ opt_int "jobs" sweep_jobs @ deadline))
-        in
-        let names = json_strings (json_field result "species") in
-        let ratios = json_floats (json_field result "ratios") in
-        let finals =
-          match J.to_list (json_field result "finals") with
-          | Some xs -> Array.of_list (List.map json_floats xs)
-          | None -> failwith "malformed server response (expected array)"
-        in
-        (match csv_out with
-        | Some path ->
-            Analysis.Csv.write_rows ~path
-              ~header:("ratio" :: Array.to_list names)
-              (Array.to_list
-                 (Array.mapi
-                    (fun i final ->
-                      Printf.sprintf "%.17g" ratios.(i)
-                      :: Array.to_list
-                           (Array.map (Printf.sprintf "%.17g") final))
-                    finals));
-            Printf.printf "wrote final states for %d ratios to %s\n"
-              (Array.length ratios) path
-        | None -> ());
-        Array.iteri
-          (fun i final ->
-            Printf.printf "ratio %g: final state at t = %g:\n" ratios.(i) t1;
-            Array.iteri
-              (fun s name ->
-                if final.(s) > 1e-6 then
-                  Printf.printf "  %-24s %10.4f\n" name final.(s))
-              names)
-          finals
-      end
-      else if stochastic_engine engine && runs > 1 then begin
-        if plot_species <> [] then
-          Printf.eprintf "note: --plot is ignored when --runs > 1\n";
-        let hybrid_knobs =
-          if engine = Hybrid_engine then
-            [
-              ("pop_threshold", J.num pop_threshold);
-              ("prop_threshold", J.num prop_threshold);
-              ("repartition_every", J.int repartition_every);
-            ]
-          else []
-        in
-        let result =
-          remote_call client
-            (J.Obj
-               ([
-                  ("op", J.str "ensemble");
-                  ("engine", J.str (engine_name engine));
-                  ("network", network);
-                  ("t1", J.num t1);
-                  ("ratio", J.num ratio);
-                  ("seed", J.int seed);
-                  ("runs", J.int runs);
-                ]
-               @ hybrid_knobs @ opt_int "jobs" jobs @ deadline))
-        in
-        let names = json_strings (json_field result "species") in
-        let mean = json_floats (json_field result "mean") in
-        let std = json_floats (json_field result "std") in
-        (match csv_out with
-        | Some path ->
-            Analysis.Csv.write_rows ~path
-              ~header:[ "species"; "mean"; "std" ]
-              (Array.to_list
-                 (Array.mapi
-                    (fun i name ->
-                      [
-                        name;
-                        Printf.sprintf "%.17g" mean.(i);
-                        Printf.sprintf "%.17g" std.(i);
-                      ])
-                    names));
-            Printf.printf "wrote final-state statistics to %s\n" path
-        | None -> ());
-        Printf.printf "final state at t = %g (mean +- std over %d runs):\n" t1
-          runs;
-        Array.iteri
-          (fun i name ->
-            if mean.(i) > 1e-6 then
-              Printf.printf "  %-24s %10.4f +- %8.4f\n" name mean.(i) std.(i))
-          names
-      end
-      else if
-        (csv_out <> None || plot_species <> []) && runs = 1 && sweep_ratios = []
-      then begin
-        (* trace modes stream over the trace op and rebuild the
-           trajectory locally, so --csv and --plot output matches a
-           local run byte-for-byte *)
-        let emit_trace tr =
-          (match csv_out with
-          | Some path ->
-              Analysis.Csv.write_trace ~path tr;
-              Printf.printf "wrote %d samples to %s\n" (Ode.Trace.length tr)
-                path
-          | None -> ());
-          (match plot_species with
-          | [] -> ()
-          | names ->
-              print_string
-                (Analysis.Ascii_plot.render ~width:72 ~height:16 ~title:source
-                   (Analysis.Ascii_plot.of_trace tr names)));
-          if final_only || (csv_out = None && plot_species = []) then begin
-            Printf.printf "final state at t = %g:\n" t1;
-            let state = Ode.Trace.last_state tr in
-            Array.iteri
-              (fun i name ->
-                if state.(i) > 1e-6 then
-                  Printf.printf "  %-24s %10.4f\n" name state.(i))
-              (Ode.Trace.names tr)
-          end
-        in
-        match engine with
-        | Ode_engine ->
-            let tr, _result =
-              remote_trace client
-                (J.Obj
-                   ([
-                      ("op", J.str "trace");
-                      ("engine", J.str "ode");
-                      ("network", network);
-                      ("t1", J.num t1);
-                      ("ratio", J.num ratio);
-                      ("method", J.str method_name);
-                      (* the local path simulates with ~thin:5 *)
-                      ("thin", J.int 5);
-                    ]
-                   @ deadline))
-            in
-            emit_trace tr
-        | Ssa_engine ->
-            let tr, result =
-              remote_trace client
-                (J.Obj
-                   ([
-                      ("op", J.str "trace");
-                      ("engine", J.str "ssa");
-                      ("network", network);
-                      ("t1", J.num t1);
-                      ("ratio", J.num ratio);
-                      ("seed", J.int seed);
-                    ]
-                   @ deadline))
-            in
-            (match Option.bind (J.member "n_events" result) J.to_int with
-            | Some n ->
-                Printf.eprintf "stochastic simulation: %d reaction events\n" n
-            | None -> ());
-            emit_trace tr
-        | Tau_engine | Hybrid_engine ->
-            failwith
-              "trace streaming over --connect supports --engine ode and ssa"
-      end
-      else if stochastic_engine engine then begin
-        let knobs =
-          if engine = Hybrid_engine then
-            [
-              ("pop_threshold", J.num pop_threshold);
-              ("prop_threshold", J.num prop_threshold);
-              ("repartition_every", J.int repartition_every);
-            ]
-          else []
-        in
-        let result =
-          remote_call client
-            (J.Obj
-               ([
-                  ("op", J.str (engine_name engine));
-                  ("network", network);
-                  ("t1", J.num t1);
-                  ("ratio", J.num ratio);
-                  ("seed", J.int seed);
-                ]
-               @ knobs @ deadline))
-        in
-        (match Option.bind (J.member "n_events" result) J.to_int with
-        | Some n ->
-            Printf.eprintf "stochastic simulation: %d reaction events\n" n
-        | None -> ());
-        (match Option.bind (J.member "n_leaps" result) J.to_int with
-        | Some n ->
-            Printf.eprintf "tau-leaping: %d leaps, %d exact fallbacks\n" n
-              (Option.value ~default:0
-                 (Option.bind (J.member "n_exact" result) J.to_int))
-        | None -> ());
-        print_final_block ~t1
-          (json_strings (json_field result "species"))
-          (json_floats (json_field result "final"))
-      end
-      else begin
-        let result =
-          remote_call client
-            (J.Obj
-               ([
-                  ("op", J.str "ode");
-                  ("network", network);
-                  ("t1", J.num t1);
-                  ("ratio", J.num ratio);
-                  ("method", J.str method_name);
-                ]
-               @ deadline))
-        in
-        print_final_block ~t1
-          (json_strings (json_field result "species"))
-          (json_floats (json_field result "final"))
-      end)
+  match
+    ( J.member "stats" result,
+      J.member "n_events" result,
+      J.member "n_leaps" result )
+  with
+  | Some s, _, _ ->
+      Printf.eprintf
+        "hybrid: %d exact + %d tau events (%d leaps), %d ode slices, %d \
+         repartitions, %d mode switches, %d rejected, fast partition %d/%d at \
+         end (peak %d)\n"
+        (int s "ssa_events") (int s "tau_events") (int s "tau_leaps")
+        (int s "ode_steps") (int s "repartitions") (int s "mode_switches")
+        (int s "rejected") (int s "final_n_fast")
+        (int s "final_n_fast" + int s "final_n_slow")
+        (int s "peak_n_fast")
+  | None, Some _, _ ->
+      Printf.eprintf "stochastic simulation: %d reaction events\n"
+        (int result "n_events")
+  | None, None, Some _ ->
+      Printf.eprintf "tau-leaping: %d leaps, %d exact fallbacks\n"
+        (int result "n_leaps") (int result "n_exact")
+  | None, None, None -> ()
 
-(* ------------------------------------------- checkpoint / resume *)
-
-module S = Service.Snapshot
-
-(* same cooperative deadline token the daemon arms *)
-let cancel_of_deadline deadline_ms =
-  match deadline_ms with
-  | Some ms when ms > 0. ->
-      let expires = Unix.gettimeofday () +. (ms /. 1000.) in
-      Numeric.Cancel.of_fun (fun () -> Unix.gettimeofday () > expires)
-  | _ -> Numeric.Cancel.never
-
-let write_checkpoint out sc =
-  Service.Binio.write_raw_atomic out (S.encode_sim sc);
-  Printf.eprintf
-    "crnsim: %s checkpoint written to %s (continue with --resume %s)\n"
-    (S.engine_name sc.S.sc_state) out out
-
-(* shared trace emission so a resumed run's CSV/plot/final-state output
-   goes through exactly the code the uninterrupted run uses *)
-let emit_trace ~source ~t1 ~csv_out ~plot_species ~final_only trace =
+let print_ensemble ~t1 ~runs ~csv_out result =
+  let names = json_strings (json_field result "species") in
+  let mean = json_floats (json_field result "mean") in
+  let std = json_floats (json_field result "std") in
   (match csv_out with
   | Some path ->
-      Analysis.Csv.write_trace ~path trace;
-      Printf.printf "wrote %d samples to %s\n" (Ode.Trace.length trace) path
+      Analysis.Csv.write_rows ~path ~header:[ "species"; "mean"; "std" ]
+        (Array.to_list
+           (Array.mapi
+              (fun i name ->
+                [
+                  name;
+                  Printf.sprintf "%.17g" mean.(i);
+                  Printf.sprintf "%.17g" std.(i);
+                ])
+              names));
+      Printf.printf "wrote final-state statistics to %s\n" path
   | None -> ());
-  (match plot_species with
-  | [] -> ()
-  | names ->
-      print_string
-        (Analysis.Ascii_plot.render ~width:72 ~height:16 ~title:source
-           (Analysis.Ascii_plot.of_trace trace names)));
-  if final_only || (csv_out = None && plot_species = []) then begin
-    Printf.printf "final state at t = %g:\n" t1;
-    let state = Ode.Trace.last_state trace in
-    Array.iteri
-      (fun i name ->
-        if state.(i) > 1e-6 then
-          Printf.printf "  %-24s %10.4f\n" name state.(i))
-      (Ode.Trace.names trace)
-  end
+  Printf.printf "final state at t = %g (mean +- std over %d runs):\n" t1 runs;
+  Array.iteri
+    (fun i name ->
+      if mean.(i) > 1e-6 then
+        Printf.printf "  %-24s %10.4f +- %8.4f\n" name mean.(i) std.(i))
+    names
 
-(* --resume FILE: the checkpoint is self-contained (network, rate
-   environment, horizon, seed, engine parameters, mid-run engine state),
-   so everything the continuation needs comes from the file; the
-   NETWORK argument and the engine/ratio/seed flags are ignored. The
-   finished trajectory is bitwise identical to an uninterrupted run.
-   (Defined after [report_error] below via this forward slot.) *)
-let run_resume_impl ~report_error ~path ~source ~csv_out ~plot_species
-    ~final_only ~checkpoint ~deadline_ms =
-  try
-    let sc =
-      try S.decode_sim (Service.Binio.read_raw path) with
-      | Service.Binio.Corrupt msg ->
-          failwith (Printf.sprintf "%s: corrupt checkpoint: %s" path msg)
-      | S.Version_mismatch { found; expected; _ } ->
-          failwith
-            (Printf.sprintf
-               "%s: checkpoint format v%d, this build reads v%d" path found
-               expected)
-      | Sys_error msg -> failwith msg
-    in
-    let cancel = cancel_of_deadline deadline_ms in
-    let net = sc.S.sc_net
-    and env = sc.S.sc_env
-    and t1 = sc.S.sc_t1
-    and seed = sc.S.sc_seed in
-    let p name = S.param sc name in
-    let pi name = Option.map int_of_float (S.param sc name) in
-    (* a resumed run can itself hit a deadline and re-checkpoint *)
-    let recapture wrap ck =
-      match checkpoint with
-      | None -> ()
-      | Some out -> write_checkpoint out { sc with S.sc_state = wrap ck }
-    in
-    Printf.eprintf "crnsim: resuming %s run from %s (t1 = %g)\n"
-      (S.engine_name sc.S.sc_state) path t1;
-    let trace =
-      match sc.S.sc_state with
-      | S.Ode_ck ck ->
-          let method_ =
-            match ck.Ode.Driver.ck_method with
-            | Ode.Driver.Ck_dopri5 _ -> Ode.Driver.Dopri5
-            | Ode.Driver.Ck_rosenbrock _ -> Ode.Driver.Rosenbrock
-            | Ode.Driver.Ck_fixed _ -> (
-                match p "h" with
-                | Some h -> Ode.Driver.Rk4 h
-                | None -> failwith "rk4 checkpoint is missing its step size")
-          in
-          Ode.Driver.simulate_ck ~method_ ?rtol:(p "rtol") ?atol:(p "atol")
-            ~env ~cancel
-            ~thin:(Option.value ~default:1 (pi "thin"))
-            ~resume:ck
-            ~on_cancel:(recapture (fun c -> S.Ode_ck c))
-            ~t1 net
-      | S.Ssa_ck ck ->
-          let { Ssa.Gillespie.trace; n_events; _ } =
-            Ssa.Gillespie.run ~env ~seed ?sample_dt:(p "sample_dt")
-              ?max_events:(pi "max_events") ~cancel ~resume:ck
-              ~on_cancel:(recapture (fun c -> S.Ssa_ck c))
-              ~t1 net
-          in
-          Printf.eprintf "stochastic simulation: %d reaction events\n"
-            n_events;
-          trace
-      | S.Tau_ck ck ->
-          let { Ssa.Tau_leap.trace; n_leaps; n_exact; _ } =
-            Ssa.Tau_leap.run ~env ~seed ?sample_dt:(p "sample_dt")
-              ?epsilon:(p "epsilon") ?max_steps:(pi "max_steps") ~cancel
-              ~resume:ck
-              ~on_cancel:(recapture (fun c -> S.Tau_ck c))
-              ~t1 net
-          in
-          Printf.eprintf "tau-leaping: %d leaps, %d exact fallbacks\n" n_leaps
-            n_exact;
-          trace
-      | S.Hybrid_ck ck ->
-          let { Hybrid.Engine.trace; stats; _ } =
-            Hybrid.Engine.run ~env ~seed ?sample_dt:(p "sample_dt")
-              ?pop_threshold:(p "pop_threshold")
-              ?prop_threshold:(p "prop_threshold")
-              ?repartition_every:(pi "repartition_every")
-              ?epsilon:(p "epsilon") ?max_events:(pi "max_events") ~cancel
-              ~resume:ck
-              ~on_cancel:(recapture (fun c -> S.Hybrid_ck c))
-              ~t1 net
-          in
-          print_hybrid_stats stats;
-          trace
-    in
-    emit_trace ~source ~t1 ~csv_out ~plot_species ~final_only trace;
-    0
-  with e -> report_error e
+let print_sweep ~t1 ~csv_out result =
+  let names = json_strings (json_field result "species") in
+  let ratios = json_floats (json_field result "ratios") in
+  let finals =
+    match J.to_list (json_field result "finals") with
+    | Some xs -> Array.of_list (List.map json_floats xs)
+    | None -> failwith "malformed server response (expected array)"
+  in
+  (match csv_out with
+  | Some path ->
+      Analysis.Csv.write_rows ~path
+        ~header:("ratio" :: Array.to_list names)
+        (Array.to_list
+           (Array.mapi
+              (fun i final ->
+                Printf.sprintf "%.17g" ratios.(i)
+                :: Array.to_list (Array.map (Printf.sprintf "%.17g") final))
+              finals));
+      Printf.printf "wrote final states for %d ratios to %s\n"
+        (Array.length ratios) path
+  | None -> ());
+  Array.iteri
+    (fun i final ->
+      Printf.printf "ratio %g: " ratios.(i);
+      print_state ~t1 names final)
+    finals
 
-(* map everything a simulation can die of to a one-line message and the
+(* ------------------------------------------------------------- running *)
+
+(* map everything crnsim itself can die of to a one-line message and the
    structured exit code shared with the service protocol: 2 input, 3
    budget/solver, 4 deadline, 5 overloaded, 70 internal *)
 let report_error e =
@@ -740,10 +317,7 @@ let report_error e =
       | Failure msg | Invalid_argument msg ->
           Printf.eprintf "crnsim: %s\n" msg;
           2
-      | Remote_error exit_code -> exit_code
-      | Numeric.Cancel.Cancelled ->
-          Printf.eprintf "crnsim: deadline exceeded\n";
-          4
+      | Failed exit_code -> exit_code
       | Service.Client.Timeout ms ->
           Printf.eprintf
             "crnsim: no response from server within %.0f ms read deadline\n"
@@ -760,252 +334,217 @@ let report_error e =
             detail;
           5
       | Unix.Unix_error (err, fn, arg) ->
-          Printf.eprintf "crnsim: %s(%s): %s\n" fn arg
-            (Unix.error_message err);
+          Printf.eprintf "crnsim: %s(%s): %s\n" fn arg (Unix.error_message err);
           70
       | e -> raise e)
 
+(* One request, in-process or over --connect; returns the response
+   envelope. A trace op's frames go to [on_frame] either way. *)
+let send ~connect ~checkpoint ~deadline_ms ~retries ~retry_budget_ms ~seed req
+    ~on_frame =
+  match connect with
+  | None -> Service.Server.call ?checkpoint ~on_frame req
+  | Some connect ->
+      if retries < 0 then failwith "--retries must be >= 0";
+      if retry_budget_ms <= 0. then failwith "--retry-budget-ms must be > 0";
+      let address =
+        match Service.Addr.of_string connect with
+        | Ok a -> a
+        | Error msg -> failwith msg
+      in
+      (* the daemon enforces the deadline and answers deadline_exceeded;
+         the socket-read deadline is a backstop (budget + grace) so a
+         daemon that accepts and then never responds cannot hang the
+         client *)
+      let read_deadline_ms =
+        Option.map (fun ms -> Float.max ms 1. +. 1000.) deadline_ms
+      in
+      let client =
+        Service.Client.connect ~retries ~retry_budget_ms
+          ~retry_seed:(Int64.of_int seed) ?read_deadline_ms address
+      in
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close client)
+        (fun () ->
+          if J.member "op" req = Some (J.str "trace") then
+            Service.Client.call_stream client req ~on_frame
+          else Service.Client.call client req)
+
+let print_final result =
+  print_state
+    ~t1:
+      (Option.value ~default:0.
+         (Option.bind (J.member "t1" result) J.to_float))
+    (json_strings (json_field result "species"))
+    (json_floats (json_field result "final"))
+
+(* print a trace op's answer: the rebuilt trace feeds the CSV and plot
+   output; the final state is the engine's state at t1, which the
+   sampled trace need not end on *)
+let print_trace ~remote ~source ~csv_out ~plot_species ~final_only trace
+    envelope =
+  let result = result_of ~remote envelope in
+  print_summary result;
+  let trace = trace () in
+  (match csv_out with
+  | Some path ->
+      Analysis.Csv.write_trace ~path trace;
+      Printf.printf "wrote %d samples to %s\n" (Ode.Trace.length trace) path
+  | None -> ());
+  (match plot_species with
+  | [] -> ()
+  | names ->
+      print_string
+        (Analysis.Ascii_plot.render ~width:72 ~height:16 ~title:source
+           (Analysis.Ascii_plot.of_trace trace names)));
+  if final_only || (csv_out = None && plot_species = []) then
+    print_final result
+
+let run_simulation ~source ~t1 ~ratio ~method_name ~csv_out ~plot_species
+    ~engine ~seed ~runs ~jobs ~final_only ~focus ~sweep_ratios ~sweep_jobs
+    ~connect ~deadline_ms ~retries ~retry_budget_ms ~pop_threshold
+    ~prop_threshold ~repartition_every ~validate ~checkpoint =
+  let stochastic =
+    match Service.Engines.find engine with
+    | Some e -> e.Service.Engines.worker <> None
+    | None ->
+        failwith
+          (Printf.sprintf "unknown engine %S (%s)" engine
+             (String.concat ", " Service.Engines.names))
+  in
+  let mode =
+    if validate then Validate
+    else if sweep_ratios <> [] then begin
+      if stochastic then
+        failwith
+          "--sweep-ratio is a deterministic mode; use the default --engine ode";
+      Sweep
+    end
+    else if runs <> 1 then Ensemble
+    else if csv_out <> None || plot_species <> [] || checkpoint <> None then
+      (* a checkpointed run records its trace too, so that a resumed
+         --csv or --plot is the uninterrupted run's *)
+      Trace
+    else Final
+  in
+  if mode = Ensemble && plot_species <> [] then
+    Printf.eprintf "note: --plot is ignored when --runs > 1\n";
+  let network, net = network_json source (if validate then [] else focus) in
+  let req =
+    request ~mode ~engine ~network ~t1 ~ratio ~method_name ~seed ~runs ~jobs
+      ~sweep_ratios ~sweep_jobs ~deadline_ms ~pop_threshold ~prop_threshold
+      ~repartition_every
+  in
+  let remote = Option.is_some connect in
+  if not (remote || mode = Validate) then print_lint net;
+  (* a local fan-out names its domains and wall time, where --connect
+     prints the daemon's metrics line *)
+  let fan_out =
+    match mode with
+    | Ensemble when not remote ->
+        Some
+          (Printf.sprintf "ensemble (%s): %d stochastic runs on %d domain(s)"
+             engine runs
+             (domains_used ~what:"ensemble" ~tasks:runs jobs))
+    | Sweep when not remote ->
+        let n = List.length sweep_ratios in
+        Some
+          (Printf.sprintf "sweep: %d deterministic points on %d domain(s)" n
+             (domains_used ~what:"sweep" ~tasks:n sweep_jobs))
+    | _ -> None
+  in
+  let on_frame, trace = trace_collector () in
+  let envelope =
+    send ~connect ~checkpoint ~deadline_ms ~retries ~retry_budget_ms ~seed req
+      ~on_frame
+  in
+  let fan_out_result envelope =
+    let result = result_of ~remote envelope in
+    Option.iter
+      (fun line ->
+        let run_ms =
+          Option.bind (J.member "metrics" envelope) (fun m ->
+              Option.bind (J.member "run_ms" m) J.to_float)
+        in
+        Printf.eprintf "%s in %.2fs\n" line
+          (Option.value ~default:0. run_ms /. 1000.))
+      fan_out;
+    result
+  in
+  (match mode with
+  | Validate ->
+      (* certified and rejected responses both carry the rendered
+         certificate; print it either way, then exit by verdict *)
+      Option.iter print_string
+        (Option.bind (J.member "result" envelope) (fun r ->
+             Option.bind (J.member "certificate" r) J.to_str));
+      ignore (result_of ~remote envelope)
+  | Trace ->
+      print_trace ~remote ~source ~csv_out ~plot_species ~final_only trace
+        envelope
+  | Final ->
+      let result = result_of ~remote envelope in
+      print_summary result;
+      print_final result
+  | Ensemble -> print_ensemble ~t1 ~runs ~csv_out (fan_out_result envelope)
+  | Sweep -> print_sweep ~t1 ~csv_out (fan_out_result envelope));
+  0
+
+(* --resume FILE: the checkpoint is self-contained (network, rate
+   environment, horizon, seed, engine parameters, mid-run engine state),
+   so everything the continuation needs comes from the file; the
+   NETWORK argument and the engine/ratio/seed flags are ignored. It runs
+   as a trace, so the finished output is bitwise that of the
+   uninterrupted run. *)
 let run_resume ~path ~source ~csv_out ~plot_species ~final_only ~checkpoint
     ~deadline_ms =
-  run_resume_impl ~report_error ~path ~source ~csv_out ~plot_species
-    ~final_only ~checkpoint ~deadline_ms
-
-(* --validate: certify the network in the exact verification tier and
-   print the certificate, without simulating anything. The local and
-   --connect paths print byte-identical certificates; exit 0 when
-   certified, 6 when the network is rejected (same code the service
-   protocol assigns to validation_failed). *)
-let run_validate ~source ~connect ~deadline_ms ~retries ~retry_budget_ms
-    ~seed =
-  try
-    match connect with
-    | None ->
-        let net = load source in
-        let title =
-          if Option.is_some (Designs.Catalog.find source) then source
-          else "network"
-        in
-        let cert = Service.Verify.certify ~title net in
-        print_string (Exact.Certificate.render cert);
-        (match Service.Verify.error_of_certificate cert with
-        | None -> 0
-        | Some err ->
-            Printf.eprintf "crnsim: %s\n" (Service.Error.message err);
-            Service.Error.exit_code err)
-    | Some connect ->
-        let address =
-          match Service.Addr.of_string connect with
-          | Ok a -> a
-          | Error msg -> failwith msg
-        in
-        let read_deadline_ms =
-          Option.map (fun ms -> Float.max ms 1. +. 1000.) deadline_ms
-        in
-        let client =
-          Service.Client.connect ~retries ~retry_budget_ms
-            ~retry_seed:(Int64.of_int seed) ?read_deadline_ms address
-        in
-        Fun.protect
-          ~finally:(fun () -> Service.Client.close client)
-          (fun () ->
-            let deadline =
-              match deadline_ms with
-              | Some ms -> [ ("deadline_ms", J.num ms) ]
-              | None -> []
-            in
-            let resp =
-              Service.Client.request client
-                (J.Obj
-                   ([
-                      ("op", J.str "validate");
-                      ("network", network_json source []);
-                    ]
-                   @ deadline))
-            in
-            (* certified and rejected responses both carry the rendered
-               certificate; print it either way, then exit by verdict *)
-            (match
-               Option.bind resp.Service.Client.result (fun r ->
-                   Option.bind (J.member "certificate" r) J.to_str)
-             with
-            | Some text -> print_string text
-            | None -> ());
-            if resp.Service.Client.ok then 0
-            else begin
-              Printf.eprintf "crnsim: %s\n"
-                (Option.value ~default:"unknown server error"
-                   resp.Service.Client.error_message);
-              match resp.Service.Client.error with
-              | Some err -> Service.Error.exit_code err
-              | None -> 70
-            end)
-  with e -> report_error e
-
-let run source t1 ratio method_name csv_out plot_species engine_opt
-    stochastic seed runs jobs final_only focus sweep_ratios sweep_jobs
-    connect deadline_ms retries retry_budget_ms pop_threshold prop_threshold
-    repartition_every validate checkpoint resume =
-  if
-    (checkpoint <> None || resume <> None)
-    && (connect <> None || validate || runs > 1 || sweep_ratios <> [])
-  then begin
-    Printf.eprintf
-      "crnsim: --checkpoint/--resume apply to a single local trajectory \
-       (not --connect, --validate, --runs > 1 or --sweep-ratio)\n";
-    2
-  end
-  else
-  match resume with
-  | Some path ->
-      (* the checkpoint carries the network; a NETWORK argument, if
-         given, only names the plot title *)
-      run_resume ~path
-        ~source:(Option.value ~default:path source)
-        ~csv_out ~plot_species ~final_only ~checkpoint ~deadline_ms
-  | None -> (
-  match source with
-  | None ->
-      Printf.eprintf
-        "crnsim: a NETWORK argument is required (only --resume runs \
-         without one)\n";
-      2
-  | Some source ->
-  if validate then
-    run_validate ~source ~connect ~deadline_ms ~retries ~retry_budget_ms
-      ~seed
-  else
-  match
-    (try Ok (resolve_engine ~stochastic engine_opt) with e -> Error e)
-  with
-  | Error e -> report_error e
-  | Ok engine -> (
-  match connect with
-  | Some connect -> (
-      try
-        run_remote ~connect ~source ~t1 ~ratio ~method_name ~csv_out
-          ~plot_species ~engine ~seed ~runs ~jobs ~final_only ~focus
-          ~sweep_ratios ~sweep_jobs ~deadline_ms ~retries ~retry_budget_ms
-          ~pop_threshold ~prop_threshold ~repartition_every;
-        0
-      with e -> report_error e)
-  | None -> (
-  try
-    (* a local deadline uses the same cooperative-cancellation tokens the
-       daemon arms, so both paths fail the same way (exit 4) *)
-    let cancel = cancel_of_deadline deadline_ms in
-    let net = load source in
-    let net =
-      match focus with
-      | [] -> net
-      | names ->
-          let slice = Crn.Slice.extract net names in
-          Printf.eprintf
-            "focused on %s: %d/%d species, %d/%d reactions\n"
-            (String.concat ", " names)
-            (Crn.Network.n_species slice) (Crn.Network.n_species net)
-            (Crn.Network.n_reactions slice) (Crn.Network.n_reactions net);
-          slice
-    in
-    let env = Crn.Rates.env_with_ratio ratio in
-    (match Crn.Validate.report net with
-    | "" -> ()
-    | report -> Printf.eprintf "lint:\n%s\n" report);
-    if runs < 1 then failwith "--runs must be >= 1";
-    if sweep_ratios <> [] then begin
-      if stochastic_engine engine then
+  let sc =
+    try Service.Snapshot.decode_sim (Service.Binio.read_raw path) with
+    | Service.Binio.Corrupt msg ->
+        failwith (Printf.sprintf "%s: corrupt checkpoint: %s" path msg)
+    | Service.Snapshot.Version_mismatch { found; expected; _ } ->
         failwith
-          "--sweep-ratio is a deterministic mode; use the default \
-           --engine ode";
-      List.iter
-        (fun r -> if r <= 0. then failwith "--sweep-ratio values must be > 0")
-        sweep_ratios;
-      run_rate_sweep ~t1 ~method_name ~sweep_jobs ~csv_out ~cancel net
-        sweep_ratios;
-      0
-    end
-    else if stochastic_engine engine && runs > 1 then begin
-      if plot_species <> [] then
-        Printf.eprintf "note: --plot is ignored when --runs > 1\n";
-      run_ensemble ~env ~engine ~t1 ~seed ~runs ~jobs ~csv_out ~cancel
-        ~pop_threshold ~prop_threshold ~repartition_every net;
-      0
-    end
-    else begin
-    (* --checkpoint FILE: a deadline-cancelled run drops its loop-top
-       state to FILE just before exiting 4, self-contained so --resume
-       needs nothing but the file *)
-    let capture wrap params =
-      Option.map
-        (fun out ck ->
-          write_checkpoint out
-            {
-              S.sc_net = net;
-              sc_env = env;
-              sc_t1 = t1;
-              sc_seed = Int64.of_int seed;
-              sc_params = Array.of_list params;
-              sc_state = wrap ck;
-            })
-        checkpoint
-    in
-    let trace =
-      match engine with
-      | Ssa_engine ->
-          let { Ssa.Gillespie.trace; n_events; _ } =
-            Ssa.Gillespie.run ~env ~seed:(Int64.of_int seed) ~cancel
-              ?on_cancel:(capture (fun c -> S.Ssa_ck c) [])
-              ~t1 net
-          in
-          Printf.eprintf "stochastic simulation: %d reaction events\n"
-            n_events;
-          trace
-      | Tau_engine ->
-          let { Ssa.Tau_leap.trace; n_leaps; n_exact; _ } =
-            Ssa.Tau_leap.run ~env ~seed:(Int64.of_int seed) ~cancel
-              ?on_cancel:(capture (fun c -> S.Tau_ck c) [])
-              ~t1 net
-          in
-          Printf.eprintf "tau-leaping: %d leaps, %d exact fallbacks\n"
-            n_leaps n_exact;
-          trace
-      | Hybrid_engine ->
-          let { Hybrid.Engine.trace; stats; _ } =
-            Hybrid.Engine.run ~env ~seed:(Int64.of_int seed) ~pop_threshold
-              ~prop_threshold ~repartition_every ~cancel
-              ?on_cancel:
-                (capture
-                   (fun c -> S.Hybrid_ck c)
-                   [
-                     ("pop_threshold", pop_threshold);
-                     ("prop_threshold", prop_threshold);
-                     ( "repartition_every",
-                       float_of_int repartition_every );
-                   ])
-              ~t1 net
-          in
-          print_hybrid_stats stats;
-          trace
-      | Ode_engine -> (
-          let method_ = method_of_string method_name in
-          match checkpoint with
-          | None ->
-              Ode.Driver.simulate ~method_ ~env ~cancel ~thin:5 ~t1 net
-          | Some _ ->
-              let params =
-                ("thin", 5.)
-                ::
-                (match method_ with
-                | Ode.Driver.Rk4 h -> [ ("h", h) ]
-                | _ -> [])
-              in
-              Ode.Driver.simulate_ck ~method_ ~env ~cancel ~thin:5
-                ?on_cancel:(capture (fun c -> S.Ode_ck c) params)
-                ~t1 net)
-    in
-    emit_trace ~source ~t1 ~csv_out ~plot_species ~final_only trace;
-    0
-    end
-  with e -> report_error e)))
+          (Printf.sprintf "%s: checkpoint format v%d, this build reads v%d"
+             path found expected)
+    | Sys_error msg -> failwith msg
+  in
+  Printf.eprintf "crnsim: resuming %s run from %s (t1 = %g)\n"
+    (Service.Snapshot.engine_name sc.Service.Snapshot.sc_state)
+    path sc.Service.Snapshot.sc_t1;
+  let on_frame, trace = trace_collector () in
+  print_trace ~remote:false ~source ~csv_out ~plot_species ~final_only trace
+    (Service.Server.resume ?checkpoint ?deadline_ms ~on_frame sc);
+  0
+
+let run source t1 ratio method_name csv_out plot_species engine seed runs jobs
+    final_only focus sweep_ratios sweep_jobs connect deadline_ms retries
+    retry_budget_ms pop_threshold prop_threshold repartition_every validate
+    checkpoint resume =
+  try
+    if
+      (checkpoint <> None || resume <> None)
+      && (connect <> None || validate || runs <> 1 || sweep_ratios <> [])
+    then
+      failwith
+        "--checkpoint/--resume apply to a single local trajectory (not \
+         --connect, --validate, --runs > 1 or --sweep-ratio)";
+    match (resume, source) with
+    | Some path, _ ->
+        (* the checkpoint carries the network; a NETWORK argument, if
+           given, only names the plot title *)
+        run_resume ~path
+          ~source:(Option.value ~default:path source)
+          ~csv_out ~plot_species ~final_only ~checkpoint ~deadline_ms
+    | None, None ->
+        failwith
+          "a NETWORK argument is required (only --resume runs without one)"
+    | None, Some source ->
+        run_simulation ~source ~t1 ~ratio ~method_name ~csv_out ~plot_species
+          ~engine ~seed ~runs ~jobs ~final_only ~focus ~sweep_ratios
+          ~sweep_jobs ~connect ~deadline_ms ~retries ~retry_budget_ms
+          ~pop_threshold ~prop_threshold ~repartition_every ~validate
+          ~checkpoint
+  with e -> report_error e
 
 let source =
   let doc =
@@ -1043,15 +582,7 @@ let engine_opt =
      slow ones exact, tau-leaping in between — see --pop-threshold and \
      --prop-threshold)."
   in
-  Arg.(
-    value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let stochastic =
-  let doc =
-    "Deprecated alias for --engine ssa (kept for old scripts; --engine \
-     wins when both are given)."
-  in
-  Arg.(value & flag & info [ "stochastic" ] ~doc)
+  Arg.(value & opt string "ode" & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let pop_threshold =
   let doc =
@@ -1085,7 +616,8 @@ let runs =
   let doc =
     "With a stochastic engine (ssa, tau, hybrid), simulate $(docv) \
      independent trajectories (streams split off --seed) and report \
-     mean +- std of the final state."
+     mean +- std of the final state; the deterministic ode engine refuses \
+     --runs other than 1."
   in
   Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc)
 
@@ -1129,9 +661,9 @@ let connect =
     "Delegate the simulation to a running crnserved daemon or crnsgate \
      gateway at $(docv): unix:PATH, a socket path, HOST:PORT for the \
      wire protocol over TCP, or http://HOST:PORT for a gateway's HTTP \
-     front door. Output is byte-identical to direct execution; --csv \
-     and --plot of a single ode/ssa trajectory stream over the trace \
-     op."
+     front door. Local runs send the same request through the daemon's \
+     own pipeline in-process, so output is byte-identical either way; \
+     --csv and --plot of a single trajectory stream over the trace op."
   in
   Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR" ~doc)
 
@@ -1202,7 +734,7 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ source $ t1 $ ratio $ method_name $ csv_out $ plot_species
-      $ engine_opt $ stochastic $ seed $ runs $ jobs $ final_only $ focus
+      $ engine_opt $ seed $ runs $ jobs $ final_only $ focus
       $ sweep_ratios $ sweep_jobs $ connect $ deadline_ms $ retries
       $ retry_budget_ms $ pop_threshold $ prop_threshold $ repartition_every
       $ validate $ checkpoint $ resume)

@@ -230,9 +230,9 @@ let fingerprint net =
    list — so equal keys guarantee identical observable behavior while
    the structural component keeps the digest collision-resistant across
    the many near-identical synthesized networks a service sees. *)
-let cache_key net =
+let cache_key_of_fingerprint fingerprint net =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (fingerprint net);
+  Buffer.add_string b fingerprint;
   Buffer.add_char b '\n';
   Array.iter
     (fun name ->
@@ -246,3 +246,5 @@ let cache_key net =
   Buffer.add_char b '\n';
   Buffer.add_string b (Network.to_string net);
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let cache_key net = cache_key_of_fingerprint (fingerprint net) net

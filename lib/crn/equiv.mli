@@ -36,3 +36,8 @@ val cache_key : Network.t -> string
     names and indices, same reaction indices), which the
     renaming-invariant fingerprint alone cannot promise; the simulation
     service keys its compiled-model cache on this. *)
+
+val cache_key_of_fingerprint : string -> Network.t -> string
+(** [cache_key_of_fingerprint (fingerprint net) net = cache_key net],
+    for a caller that needs both without running the colour refinement
+    twice. *)

@@ -35,30 +35,84 @@ let rosenbrock_ws = function
           w.w_ros <- Some ws;
           Some ws)
 
-(* tolerance defaults are per method: the semi-implicit integrator's
-   first-order error estimate is conservative, so it gets looser targets *)
+type method_state =
+  | Ck_dopri5 of Dopri5.checkpoint
+  | Ck_rosenbrock of Rosenbrock.checkpoint
+  | Ck_fixed of Fixed.checkpoint
+
+type work =
+  | Dopri5_work of Dopri5.stats
+  | Rosenbrock_work of Rosenbrock.stats
+  | Fixed_work of { steps : int }
+
+(* The one method dispatch. Tolerance defaults are per method: the
+   semi-implicit integrator's first-order error estimate is conservative,
+   so it gets looser targets. *)
+let integrate method_ ?rtol ?atol ~cancel ~ws ?resume ?on_cancel ~t0 ~t1
+    ~on_sample sys x =
+  let mismatch () = invalid_arg "Driver: checkpoint method mismatch" in
+  let wrap f = Option.map (fun g ck -> g (f ck)) on_cancel in
+  match method_ with
+  | Dopri5 ->
+      let rtol = Option.value ~default:1e-6 rtol
+      and atol = Option.value ~default:1e-9 atol in
+      let resume =
+        Option.map (function Ck_dopri5 c -> c | _ -> mismatch ()) resume
+      in
+      let x', stats =
+        Dopri5.integrate ?ws:(dopri5_ws ws) ~rtol ~atol ~cancel ?resume
+          ?on_cancel:(wrap (fun c -> Ck_dopri5 c))
+          ~t0 ~t1 ~on_sample sys x
+      in
+      (x', Dopri5_work stats)
+  | Rosenbrock ->
+      let rtol = Option.value ~default:1e-4 rtol
+      and atol = Option.value ~default:1e-7 atol in
+      let resume =
+        Option.map (function Ck_rosenbrock c -> c | _ -> mismatch ()) resume
+      in
+      let x', stats =
+        Rosenbrock.integrate ?ws:(rosenbrock_ws ws) ~rtol ~atol ~cancel
+          ?resume
+          ?on_cancel:(wrap (fun c -> Ck_rosenbrock c))
+          ~t0 ~t1 ~on_sample sys x
+      in
+      (x', Rosenbrock_work stats)
+  | Rk4 h ->
+      let resume =
+        Option.map (function Ck_fixed c -> c | _ -> mismatch ()) resume
+      in
+      (* a fresh run's first sample is the t0 echo, not a step *)
+      let steps = ref (if Option.is_none resume then -1 else 0) in
+      let x' =
+        Fixed.integrate ~cancel ?resume
+          ?on_cancel:(wrap (fun c -> Ck_fixed c))
+          ~step:Fixed.rk4_step ~h ~t0 ~t1
+          ~on_sample:(fun t x ->
+            incr steps;
+            on_sample t x)
+          sys x
+      in
+      (x', Fixed_work { steps = max 0 !steps })
+
 let run_segment method_ ~rtol ~atol ~cancel ~ws ~t0 ~t1 ~on_sample sys x =
   if t1 <= t0 then Array.copy x
   else
-    match method_ with
-    | Dopri5 ->
-        let rtol = Option.value ~default:1e-6 rtol
-        and atol = Option.value ~default:1e-9 atol in
-        let x', _ =
-          Dopri5.integrate ?ws:(dopri5_ws ws) ~rtol ~atol ~cancel ~t0 ~t1
-            ~on_sample sys x
-        in
-        x'
-    | Rosenbrock ->
-        let rtol = Option.value ~default:1e-4 rtol
-        and atol = Option.value ~default:1e-7 atol in
-        let x', _ =
-          Rosenbrock.integrate ?ws:(rosenbrock_ws ws) ~rtol ~atol ~cancel ~t0
-            ~t1 ~on_sample sys x
-        in
-        x'
-    | Rk4 h ->
-        Fixed.integrate ~cancel ~step:Fixed.rk4_step ~h ~t0 ~t1 ~on_sample sys x
+    fst
+      (integrate method_ ?rtol ?atol ~cancel ~ws ~t0 ~t1 ~on_sample sys x)
+
+(* The trace recording rule every entry point shares: a boundary is
+   always recorded and restarts the countdown, and only every [thin]-th
+   accepted step after it is kept. *)
+let thinning ~thin ~countdown record =
+  let record_boundary t x =
+    record t x;
+    countdown := thin - 1
+  in
+  let record_step t x =
+    if !countdown <= 0 then record_boundary t x else decr countdown
+  in
+  (record_boundary, record_step)
 
 let prepare net injections =
   let resolve { at; species; amount } =
@@ -114,13 +168,8 @@ let simulate ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel
     ?(thin = 1) ~t1 net =
   if thin < 1 then invalid_arg "Driver.simulate: thin must be >= 1";
   let trace = Trace.create ~names:(Crn.Network.species_names net) in
-  let countdown = ref 0 in
-  let record_boundary t x =
-    Trace.record trace t x;
-    countdown := thin - 1
-  in
-  let record_step t x =
-    if !countdown <= 0 then record_boundary t x else decr countdown
+  let record_boundary, record_step =
+    thinning ~thin ~countdown:(ref 0) (Trace.record trace)
   in
   let final =
     simulate_gen ~record_step ~record_boundary ?method_ ?rtol ?atol ?env
@@ -137,28 +186,16 @@ let final_state ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel ~t1 net
   simulate_gen ~record_step:drop ~record_boundary:drop ?method_ ?rtol ?atol
     ?env ?injections ?sys ?ws ?cancel ~t1 net
 
-type method_state =
-  | Ck_dopri5 of Dopri5.checkpoint
-  | Ck_rosenbrock of Rosenbrock.checkpoint
-  | Ck_fixed of Fixed.checkpoint
-
 type checkpoint = {
   ck_method : method_state;
   ck_countdown : int;
   ck_trace : Trace.t;
 }
 
-let copy_trace tr =
-  let fresh = Trace.create ~names:(Trace.names tr) in
-  Array.iteri
-    (fun i t -> Trace.record fresh t (Trace.state_at_index tr i))
-    (Trace.times tr);
-  fresh
-
-let simulate_ck ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env)
-    ?sys ?ws ?(cancel = Numeric.Cancel.never) ?(thin = 1) ?resume ?on_cancel
-    ~t1 net =
-  if thin < 1 then invalid_arg "Driver.simulate_ck: thin must be >= 1";
+let run ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env) ?sys
+    ?ws ?(cancel = Numeric.Cancel.never) ?(thin = 1) ?resume ?on_cancel ?trace
+    ?on_sample ~t1 net =
+  if thin < 1 then invalid_arg "Driver.run: thin must be >= 1";
   let sys = match sys with Some s -> s | None -> Deriv.compile env net in
   (match ws with
   | Some w when w.w_n <> Deriv.dim sys ->
@@ -170,22 +207,25 @@ let simulate_ck ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env)
   | Some { ck_method = Ck_fixed _; _ }, Rk4 _
   | None, _ ->
       ()
-  | Some _, _ -> invalid_arg "Driver.simulate_ck: checkpoint method mismatch");
-  let trace =
-    match resume with
-    | Some ck -> copy_trace ck.ck_trace
-    | None -> Trace.create ~names:(Crn.Network.species_names net)
+  | Some _, _ -> invalid_arg "Driver.run: checkpoint method mismatch");
+  let last = ref neg_infinity in
+  let record t x =
+    (match trace with Some tr -> Trace.record tr t x | None -> ());
+    (match on_sample with Some f -> f t x | None -> ());
+    last := t
   in
+  (* a resumed run first replays what its checkpoint had recorded, so
+     its sample stream is the uninterrupted run's *)
+  Option.iter
+    (fun ck ->
+      Array.iteri
+        (fun i t -> record t (Trace.state_at_index ck.ck_trace i))
+        (Trace.times ck.ck_trace))
+    resume;
   let countdown =
     ref (match resume with Some ck -> ck.ck_countdown | None -> 0)
   in
-  let record_boundary t x =
-    Trace.record trace t x;
-    countdown := thin - 1
-  in
-  let record_step t x =
-    if !countdown <= 0 then record_boundary t x else decr countdown
-  in
+  let record_boundary, record_step = thinning ~thin ~countdown record in
   (* only a fresh run skips the integrator's t0 echo (the manual initial
      record covers it); a resumed integrator emits no echo, so its first
      sample is a real accepted step that must be recorded *)
@@ -193,53 +233,33 @@ let simulate_ck ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env)
   let on_sample ts xs = if !first then first := false else record_step ts xs in
   let x0 = Crn.Network.initial_state net in
   if Option.is_none resume then record_boundary 0. x0;
-  let driver_cancel wrap =
+  let on_cancel =
     Option.map
-      (fun f mck ->
-        f { ck_method = wrap mck; ck_countdown = !countdown; ck_trace = trace })
+      (fun f ck_method ->
+        f
+          {
+            ck_method;
+            ck_countdown = !countdown;
+            ck_trace =
+              (match trace with
+              | Some tr -> tr
+              | None -> Trace.create ~names:(Crn.Network.species_names net));
+          })
       on_cancel
   in
-  let final =
-    match method_ with
-    | Dopri5 ->
-        let rtol = Option.value ~default:1e-6 rtol
-        and atol = Option.value ~default:1e-9 atol in
-        let resume =
-          match resume with
-          | Some { ck_method = Ck_dopri5 c; _ } -> Some c
-          | _ -> None
-        in
-        let x', _ =
-          Dopri5.integrate ?ws:(dopri5_ws ws) ~rtol ~atol ~cancel ?resume
-            ?on_cancel:(driver_cancel (fun c -> Ck_dopri5 c))
-            ~t0:0. ~t1 ~on_sample sys x0
-        in
-        x'
-    | Rosenbrock ->
-        let rtol = Option.value ~default:1e-4 rtol
-        and atol = Option.value ~default:1e-7 atol in
-        let resume =
-          match resume with
-          | Some { ck_method = Ck_rosenbrock c; _ } -> Some c
-          | _ -> None
-        in
-        let x', _ =
-          Rosenbrock.integrate ?ws:(rosenbrock_ws ws) ~rtol ~atol ~cancel
-            ?resume
-            ?on_cancel:(driver_cancel (fun c -> Ck_rosenbrock c))
-            ~t0:0. ~t1 ~on_sample sys x0
-        in
-        x'
-    | Rk4 h ->
-        let resume =
-          match resume with
-          | Some { ck_method = Ck_fixed c; _ } -> Some c
-          | _ -> None
-        in
-        Fixed.integrate ~cancel ?resume
-          ?on_cancel:(driver_cancel (fun c -> Ck_fixed c))
-          ~step:Fixed.rk4_step ~h ~t0:0. ~t1 ~on_sample sys x0
+  let final, work =
+    integrate method_ ?rtol ?atol ~cancel ~ws
+      ?resume:(Option.map (fun ck -> ck.ck_method) resume)
+      ?on_cancel ~t0:0. ~t1 ~on_sample sys x0
   in
-  if Trace.length trace = 0 || Trace.last_time trace < t1 then
-    Trace.record trace t1 final;
+  (* always include the final state even when thinning dropped it *)
+  if !last < t1 then record t1 final;
+  (final, work)
+
+let simulate_ck ?method_ ?rtol ?atol ?env ?sys ?ws ?cancel ?thin ?resume
+    ?on_cancel ~t1 net =
+  let trace = Trace.create ~names:(Crn.Network.species_names net) in
+  ignore
+    (run ?method_ ?rtol ?atol ?env ?sys ?ws ?cancel ?thin ?resume ?on_cancel
+       ~trace ~t1 net);
   trace

@@ -75,6 +75,38 @@ type checkpoint = {
     [thin] for the continuation to be bitwise identical to an
     uninterrupted run. *)
 
+(** The integrator's own work counters for one {!run}. *)
+type work =
+  | Dopri5_work of Dopri5.stats
+  | Rosenbrock_work of Rosenbrock.stats
+  | Fixed_work of { steps : int }  (** accepted RK4 steps *)
+
+val run :
+  ?method_:method_ ->
+  ?rtol:float ->
+  ?atol:float ->
+  ?env:Crn.Rates.env ->
+  ?sys:Deriv.t ->
+  ?ws:workspace ->
+  ?cancel:Numeric.Cancel.t ->
+  ?thin:int ->
+  ?resume:checkpoint ->
+  ?on_cancel:(checkpoint -> unit) ->
+  ?trace:Trace.t ->
+  ?on_sample:(float -> Numeric.Vec.t -> unit) ->
+  t1:float ->
+  Crn.Network.t ->
+  Numeric.Vec.t * work
+(** One checkpointable segment from [0.] to [t1]; returns the final
+    state and the integrator's work counters. The recorded samples — the
+    initial state, every [thin]-th accepted step, and the final state
+    when thinning dropped it; on [resume], first the checkpoint's own
+    recorded samples — go to [trace] and to [on_sample] as they are
+    produced, so a consumer can stream them while the integrator runs.
+    A {!checkpoint} handed to [on_cancel] carries [trace] (an empty one
+    when absent). Raises [Invalid_argument] for [thin < 1] or a
+    checkpoint of another method. *)
+
 val simulate_ck :
   ?method_:method_ ->
   ?rtol:float ->

@@ -85,7 +85,12 @@ let exit_code = function
   | Validation_failed _ -> 6
   | Internal _ -> 70 (* EX_SOFTWARE *)
 
+exception Rejected of t
+
+let reject err = raise (Rejected err)
+
 let of_exn = function
+  | Rejected err -> Some err
   | Crn.Parser.Parse_error (line, msg) -> Some (Parse_error { line; msg })
   | Ssa.Gillespie.Error (Ssa.Gillespie.Max_events_exceeded { max_events; t })
     ->

@@ -45,9 +45,16 @@ val exit_code : t -> int
     capacity/fleet trouble (overloaded, over the connection cap, a
     failed shard), 6 validation rejected the network, 70 internal. *)
 
+exception Rejected of t
+(** A request refused before it ran (a malformed field, a knob out of
+    its engine's range): the one exception request decoding raises. *)
+
+val reject : t -> 'a
+(** [raise (Rejected err)]. *)
+
 val of_exn : exn -> t option
 (** Classify the structured exceptions of the simulation stack
-    ({!Crn.Parser.Parse_error}, {!Ssa.Gillespie.Error},
+    ({!Rejected}, {!Crn.Parser.Parse_error}, {!Ssa.Gillespie.Error},
     {!Ssa.Tau_leap.Error}, {!Ode.Solver_error.Error},
     {!Dsd.Translate.Not_compilable}); [None] for anything else. *)
 

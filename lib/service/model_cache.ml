@@ -20,10 +20,7 @@
 
 type entry = {
   key : string;
-  net : Crn.Network.t;
-  env : Crn.Rates.env;
-  sys : Ode.Deriv.t;
-  ssa : Ssa.Gillespie.model;
+  model : Engines.model;
   fingerprint : string;
   compile_ms : float;
       (* what the cold path paid: synthesis + canonical digest + both
@@ -105,10 +102,10 @@ let snapshot_of_entry entry ~sources =
       ms_sources = Array.of_list sources;
       ms_fingerprint = entry.fingerprint;
       ms_compile_ms = entry.compile_ms;
-      ms_net = entry.net;
-      ms_env = entry.env;
-      ms_sys = entry.sys;
-      ms_ssa = entry.ssa;
+      ms_net = entry.model.Engines.net;
+      ms_env = entry.model.Engines.env;
+      ms_sys = entry.model.Engines.sys;
+      ms_ssa = entry.model.Engines.ssa;
     }
 
 let write_snapshot cache dir job =
@@ -251,27 +248,28 @@ let evict_lru cache =
       List.iter (Hashtbl.remove cache.sources) stale;
       cache.evictions <- cache.evictions + 1
 
+(* one colour refinement yields both digests *)
+let keys env net =
+  let fingerprint = Crn.Equiv.fingerprint net in
+  ( fingerprint,
+    Crn.Equiv.cache_key_of_fingerprint fingerprint net ^ "@" ^ env_key env )
+
 let compile_entry cache ~env ~build =
   let t0 = Unix.gettimeofday () in
   let net = build () in
-  let key = Crn.Equiv.cache_key net ^ "@" ^ env_key env in
+  let fingerprint, key = keys env net in
   match Hashtbl.find_opt cache.models key with
   | Some entry -> (entry, `Miss)
       (* different source text, same canonical network: the digest
          dedupes it onto the existing compiled entry; the request still
          counts as a miss (it paid synthesis + digest) *)
   | None ->
-      let fingerprint = Crn.Equiv.fingerprint net in
-      let sys = Ode.Deriv.compile env net in
-      let ssa = Ssa.Gillespie.compile_model env net in
+      let model = Engines.compile env net in
       let compile_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       let entry =
         {
           key;
-          net;
-          env;
-          sys;
-          ssa;
+          model;
           fingerprint;
           compile_ms;
           last_used = 0;
@@ -332,7 +330,7 @@ type warm_report = { loaded : int; skipped_corrupt : int; skipped_version : int 
    canonicalization revision, edited bytes that still pass the CRC by
    construction) is skipped rather than poisoning the cache. *)
 let admit cache (ms : Snapshot.model_snapshot) =
-  let expect = Crn.Equiv.cache_key ms.Snapshot.ms_net ^ "@" ^ env_key ms.Snapshot.ms_env in
+  let _, expect = keys ms.Snapshot.ms_env ms.Snapshot.ms_net in
   if expect <> ms.Snapshot.ms_key then `Stale
   else if Hashtbl.mem cache.models expect then `Duplicate
   else if Hashtbl.length cache.models >= cache.capacity then `Full
@@ -340,10 +338,13 @@ let admit cache (ms : Snapshot.model_snapshot) =
     let entry =
       {
         key = expect;
-        net = ms.Snapshot.ms_net;
-        env = ms.Snapshot.ms_env;
-        sys = ms.Snapshot.ms_sys;
-        ssa = ms.Snapshot.ms_ssa;
+        model =
+          {
+            Engines.net = ms.Snapshot.ms_net;
+            env = ms.Snapshot.ms_env;
+            sys = ms.Snapshot.ms_sys;
+            ssa = ms.Snapshot.ms_ssa;
+          };
         fingerprint = ms.Snapshot.ms_fingerprint;
         compile_ms = ms.Snapshot.ms_compile_ms;
         last_used = 0;

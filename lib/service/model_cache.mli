@@ -13,10 +13,7 @@
 
 type entry = {
   key : string;  (** canonical digest + rate environment *)
-  net : Crn.Network.t;
-  env : Crn.Rates.env;
-  sys : Ode.Deriv.t;  (** compiled ODE right-hand side *)
-  ssa : Ssa.Gillespie.model;  (** compiled SSA reactions + dependency graph *)
+  model : Engines.model;  (** the network, compiled for every engine *)
   fingerprint : string;  (** {!Crn.Equiv.fingerprint} of [net] *)
   compile_ms : float;  (** wall time the cold path paid for this entry *)
   mutable last_used : int;
@@ -28,6 +25,11 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 32 entries; least-recently-used entries are evicted
     beyond that. Raises [Invalid_argument] if [capacity < 1]. *)
+
+val keys : Crn.Rates.env -> Crn.Network.t -> string * string
+(** [(fingerprint, key)] of a network under an environment, from one
+    canonicalization: the entry's {!entry.fingerprint} and the key it is
+    cached under. *)
 
 val source_key : spec:string -> env:Crn.Rates.env -> string
 (** Digest of a request's network specification (catalog name or inline

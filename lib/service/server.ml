@@ -99,22 +99,16 @@ let get j key = Json.member key j
 let get_str j key = Option.bind (get j key) Json.to_str
 let get_float j key = Option.bind (get j key) Json.to_float
 let get_int j key = Option.bind (get j key) Json.to_int
-
-exception Reject of Error.t
-
-let reject e = raise (Reject e)
+let bad msg = Error.reject (Error.Bad_request msg)
 
 let network_spec req =
   match get req "network" with
-  | None -> reject (Error.Bad_request "missing \"network\"")
+  | None -> bad "missing \"network\""
   | Some n -> (
       match (get_str n "catalog", get_str n "text") with
       | Some name, None -> `Catalog name
       | None, Some text -> `Text text
-      | _ ->
-          reject
-            (Error.Bad_request
-               "\"network\" must be {\"catalog\": name} or {\"text\": crn}"))
+      | _ -> bad "\"network\" must be {\"catalog\": name} or {\"text\": crn}")
 
 let spec_string = function
   | `Catalog name -> "catalog:" ^ name
@@ -124,35 +118,26 @@ let build_network = function
   | `Catalog name -> (
       match Designs.Catalog.find name with
       | Some entry -> entry.Designs.Catalog.build ()
-      | None -> reject (Error.Unknown_design name))
+      | None -> Error.reject (Error.Unknown_design name))
   | `Text text -> Crn.Parser.network_of_string text
 
 let env_of req =
   match get_float req "ratio" with
   | None -> Crn.Rates.default_env
   | Some r when r > 0. -> Crn.Rates.env_with_ratio r
-  | Some _ -> reject (Error.Bad_request "\"ratio\" must be > 0")
-
-let method_of req =
-  match get req "method" with
-  | None -> Ode.Driver.Rosenbrock
-  | Some (Json.Str "dopri5") -> Ode.Driver.Dopri5
-  | Some (Json.Str "rosenbrock") -> Ode.Driver.Rosenbrock
-  | Some (Json.Str s) -> (
-      match float_of_string_opt s with
-      | Some h when h > 0. -> Ode.Driver.Rk4 h
-      | _ ->
-          reject
-            (Error.Bad_request
-               "\"method\" must be dopri5, rosenbrock, or an rk4 step size"))
-  | Some (Json.Num h) when h > 0. -> Ode.Driver.Rk4 h
-  | Some _ -> reject (Error.Bad_request "bad \"method\"")
+  | Some _ -> bad "\"ratio\" must be > 0"
 
 let t1_of req =
   match get_float req "t1" with
   | None -> 50.
   | Some t when t > 0. -> t
-  | Some _ -> reject (Error.Bad_request "\"t1\" must be > 0")
+  | Some _ -> bad "\"t1\" must be > 0"
+
+let positive_int req key ~default =
+  match get_int req key with
+  | None -> default
+  | Some n when n >= 1 -> n
+  | Some _ -> bad (Printf.sprintf "%S must be >= 1" key)
 
 let names_json net =
   Json.List
@@ -160,402 +145,179 @@ let names_json net =
 
 let vec_json v = Json.List (Array.to_list (Array.map Json.num v))
 
-(* --------------------------------------------------------- server state *)
-
-type t = {
-  config : config;
-  cache : Model_cache.t;
-  metrics : Metrics.t;
-  pool : Numeric.Domain_pool.Bounded.t;
-}
-
-let logf srv fmt =
-  if srv.config.log then Printf.eprintf ("crnserved: " ^^ fmt ^^ "\n%!")
-  else Printf.ifprintf stderr fmt
-
-(* -------------------------------------------------------------- handlers *)
-
-(* Each compute handler returns (result payload, cache outcome,
-   compile_ms, run_ms, extra work counters). *)
-
-let with_model srv req ~env f =
-  let spec = network_spec req in
-  let source_key = Model_cache.source_key ~spec:(spec_string spec) ~env in
-  let entry, outcome =
-    Model_cache.find_or_compile srv.cache ~source_key ~env ~build:(fun () ->
-        build_network spec)
-  in
-  let cache, compile_ms =
-    match outcome with
-    | `Hit -> (Metrics.Hit, 0.)
-    | `Miss -> (Metrics.Miss, entry.Model_cache.compile_ms)
-  in
-  let result, run_ms, extra = f entry in
-  (result, cache, compile_ms, run_ms, extra)
-
 let timed f =
   let t0 = Unix.gettimeofday () in
   let x = f () in
   (x, (Unix.gettimeofday () -. t0) *. 1000.)
 
-(* A deadline-cancelled engine hands its loop-top checkpoint to the
-   handler's [on_cancel], which stashes it here; [run_job]'s [Cancelled]
-   branch picks it up and writes it under the state directory so the
-   [deadline_exceeded] response can carry a resume token. The slot is
-   per-worker-domain (one job at a time per worker), so no locking. *)
-let pending_checkpoint : Snapshot.sim_checkpoint option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* ------------------------------------------------------------ jobs *)
 
-let stash_checkpoint sc = Domain.DLS.get pending_checkpoint := Some sc
+(* What a compute job needs from whoever runs it: the daemon (its model
+   cache, worker pool and state directory) or an in-process call (a
+   direct compile, the process-wide pool, a --checkpoint file). *)
+type host = {
+  cache : Model_cache.t option;
+  pool : Numeric.Domain_pool.Bounded.t option;
+  save_checkpoint : (string -> string) option;
+      (* persist an encoded checkpoint, return the resume token *)
+}
 
-let take_checkpoint () =
-  let slot = Domain.DLS.get pending_checkpoint in
-  let v = !slot in
-  slot := None;
-  v
+type job = {
+  host : host;
+  req : Json.t;
+  cancel : Numeric.Cancel.t;
+  emit : Json.t -> unit;  (* stream frames, in order *)
+  mutable checkpoint : Snapshot.sim_checkpoint option;
+      (* a deadline-cancelled engine's loop-top state, persisted by
+         [execute] so the deadline error can carry a resume token *)
+}
 
-let opt_param name = function None -> [] | Some v -> [ (name, v) ]
-let opt_param_i name = function
-  | None -> []
-  | Some v -> [ (name, float_of_int v) ]
+type resolved = {
+  model : Engines.model;
+  cache_outcome : Metrics.cache_outcome;
+  compile_ms : float;
+  keys : (string * string) Lazy.t;  (* fingerprint, cache key *)
+}
 
-let handle_parse srv req ~cancel:_ =
-  let env = env_of req in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
+(* The daemon looks the network up in its model cache; an in-process
+   call compiles it straight from the built network — canonicalization
+   costs more than both compilers together, and a one-shot run has no
+   cache to key. *)
+let resolve host req ~env =
+  let spec = network_spec req in
+  match host.cache with
+  | Some cache -> (
+      let entry, outcome =
+        Model_cache.find_or_compile cache
+          ~source_key:(Model_cache.source_key ~spec:(spec_string spec) ~env)
+          ~env
+          ~build:(fun () -> build_network spec)
+      in
+      let model = entry.Model_cache.model in
+      let keys =
+        Lazy.from_val (entry.Model_cache.fingerprint, entry.Model_cache.key)
+      in
+      match outcome with
+      | `Hit -> { model; cache_outcome = Metrics.Hit; compile_ms = 0.; keys }
+      | `Miss ->
+          {
+            model;
+            cache_outcome = Metrics.Miss;
+            compile_ms = entry.Model_cache.compile_ms;
+            keys;
+          })
+  | None ->
+      let model, compile_ms =
+        timed (fun () -> Engines.compile env (build_network spec))
+      in
+      {
+        model;
+        cache_outcome = Metrics.Miss;
+        compile_ms;
+        keys = lazy (Model_cache.keys env model.Engines.net);
+      }
+
+(* Each compute handler returns (result payload, cache outcome,
+   compile_ms, run_ms, extra work counters). *)
+let with_model job ~env f =
+  let m = resolve job.host job.req ~env in
+  let result, run_ms, extra = f m in
+  (result, m.cache_outcome, m.compile_ms, run_ms, extra)
+
+(* the engine's loop-top state on a deadline, when the host can keep it *)
+let on_cancel job (m : Engines.model) ~t1 (k : Engines.knobs) =
+  Option.map
+    (fun _ st ->
+      job.checkpoint <-
+        Some
+          {
+            Snapshot.sc_net = m.Engines.net;
+            sc_env = m.Engines.env;
+            sc_t1 = t1;
+            sc_seed = k.Engines.seed;
+            sc_params = Array.of_list k.Engines.params;
+            sc_state = st;
+          })
+    job.host.save_checkpoint
+
+(* ------------------------------------------------------------ handlers *)
+
+let handle_parse job =
+  let env = env_of job.req in
+  with_model job ~env (fun m ->
+      let net = m.model.Engines.net in
+      let fingerprint, key = Lazy.force m.keys in
       let result =
         Json.Obj
           [
             ("n_species", Json.int (Crn.Network.n_species net));
             ("n_reactions", Json.int (Crn.Network.n_reactions net));
-            ("fingerprint", Json.str entry.Model_cache.fingerprint);
-            ("cache_key", Json.str entry.Model_cache.key);
+            ("fingerprint", Json.str fingerprint);
+            ("cache_key", Json.str key);
             ("canonical", Json.str (Crn.Network.to_string net));
             ("lint", Json.str (Crn.Validate.report net));
           ]
       in
       (result, 0., []))
 
-let run_ode ?on_sample ?on_cancel ~method_ ~rtol ~atol ~cancel ~t1 ~sys x0 =
-  (* mirrors Ode.Driver.run_segment's per-method tolerance defaults so
-     served results are byte-identical to direct execution *)
-  let on_sample = Option.value ~default:(fun _ _ -> ()) on_sample in
-  (* [on_cancel] receives the integrator's loop-top checkpoint wrapped
-     into the driver's method_state so the caller can persist it *)
-  let wrap f = Option.map (fun g ck -> g (f ck)) on_cancel in
-  match method_ with
-  | Ode.Driver.Dopri5 ->
-      let rtol = Option.value ~default:1e-6 rtol
-      and atol = Option.value ~default:1e-9 atol in
-      let xf, stats =
-        Ode.Dopri5.integrate ~rtol ~atol ~cancel
-          ?on_cancel:(wrap (fun ck -> Ode.Driver.Ck_dopri5 ck))
-          ~t0:0. ~t1 ~on_sample sys x0
-      in
-      (xf, [ ("steps", Json.int stats.Ode.Dopri5.steps);
-             ("evals", Json.int stats.Ode.Dopri5.evals) ])
-  | Ode.Driver.Rosenbrock ->
-      let rtol = Option.value ~default:1e-4 rtol
-      and atol = Option.value ~default:1e-7 atol in
-      let xf, stats =
-        Ode.Rosenbrock.integrate ~rtol ~atol ~cancel
-          ?on_cancel:(wrap (fun ck -> Ode.Driver.Ck_rosenbrock ck))
-          ~t0:0. ~t1 ~on_sample sys x0
-      in
-      (xf, [ ("steps", Json.int stats.Ode.Rosenbrock.steps);
-             ("factorizations", Json.int stats.Ode.Rosenbrock.factorizations) ])
-  | Ode.Driver.Rk4 h ->
-      let steps = ref 0 in
-      let xf =
-        Ode.Fixed.integrate ~cancel
-          ?on_cancel:(wrap (fun ck -> Ode.Driver.Ck_fixed ck))
-          ~step:Ode.Fixed.rk4_step ~h ~t0:0. ~t1
-          ~on_sample:(fun t x ->
-            incr steps;
-            on_sample t x)
-          sys x0
-      in
-      (xf, [ ("steps", Json.int (max 0 (!steps - 1))) ])
-
-let handle_ode srv req ~cancel =
-  let env = env_of req in
-  let t1 = t1_of req in
-  let method_ = method_of req in
-  let rtol = get_float req "rtol" and atol = get_float req "atol" in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
-      let on_cancel ms =
-        stash_checkpoint
-          {
-            Snapshot.sc_net = net;
-            sc_env = env;
-            sc_t1 = t1;
-            sc_seed = 0L;
-            sc_params =
-              Array.of_list
-                (opt_param "rtol" rtol @ opt_param "atol" atol);
-            sc_state =
-              Snapshot.Ode_ck
-                {
-                  Ode.Driver.ck_method = ms;
-                  ck_countdown = 0;
-                  ck_trace =
-                    Ode.Trace.create
-                      ~names:(Crn.Network.species_names net);
-                };
-          }
-      in
-      let (xf, extra), run_ms =
+(* the ode, ssa, tau and hybrid ops: one trajectory's final state *)
+let handle_engine (e : Engines.entry) job =
+  let env = env_of job.req and t1 = t1_of job.req in
+  let k = e.Engines.knobs Engines.Run job.req in
+  with_model job ~env (fun { model = m; _ } ->
+      let o, run_ms =
         timed (fun () ->
-            run_ode ~on_cancel ~method_ ~rtol ~atol ~cancel ~t1
-              ~sys:entry.Model_cache.sys
-              (Crn.Network.initial_state net))
+            k.Engines.run ?on_cancel:(on_cancel job m ~t1 k) ~cancel:job.cancel
+              ~t1 m)
       in
       let result =
         Json.Obj
-          [
-            ("t1", Json.num t1);
-            ("species", names_json net);
-            ("final", vec_json xf);
-          ]
+          ([
+             ("t1", Json.num t1);
+             ("species", names_json m.Engines.net);
+             ("final", vec_json o.Engines.final);
+           ]
+          @ o.Engines.fields)
       in
-      (result, run_ms, extra))
+      (result, run_ms, o.Engines.counters))
 
-let handle_ssa srv req ~cancel =
-  let env = env_of req in
-  let t1 = t1_of req in
-  let seed = Int64.of_int (Option.value ~default:1 (get_int req "seed")) in
-  let max_events = get_int req "max_events" in
-  let sample_dt = get_float req "sample_dt" in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
-      let on_cancel ck =
-        stash_checkpoint
-          {
-            Snapshot.sc_net = net;
-            sc_env = env;
-            sc_t1 = t1;
-            sc_seed = seed;
-            sc_params =
-              Array.of_list
-                (opt_param "sample_dt" sample_dt
-                @ opt_param_i "max_events" max_events);
-            sc_state = Snapshot.Ssa_ck ck;
-          }
-      in
-      let r, run_ms =
-        timed (fun () ->
-            Ssa.Gillespie.run ~env ~seed ?sample_dt ?max_events
-              ~model:entry.Model_cache.ssa ~cancel ~on_cancel ~t1 net)
-      in
-      let result =
-        Json.Obj
-          [
-            ("t1", Json.num t1);
-            ("species", names_json net);
-            ("final", vec_json r.Ssa.Gillespie.final);
-            ("n_events", Json.int r.Ssa.Gillespie.n_events);
-          ]
-      in
-      (result, run_ms, [ ("events", Json.int r.Ssa.Gillespie.n_events) ]))
+let stochastic_engines =
+  List.filter (fun e -> e.Engines.worker <> None) Engines.all
 
-let handle_tau srv req ~cancel =
-  let env = env_of req in
-  let t1 = t1_of req in
-  let seed = Int64.of_int (Option.value ~default:1 (get_int req "seed")) in
-  let epsilon = get_float req "epsilon" in
-  let max_steps = get_int req "max_steps" in
-  let sample_dt = get_float req "sample_dt" in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
-      let on_cancel ck =
-        stash_checkpoint
-          {
-            Snapshot.sc_net = net;
-            sc_env = env;
-            sc_t1 = t1;
-            sc_seed = seed;
-            sc_params =
-              Array.of_list
-                (opt_param "sample_dt" sample_dt
-                @ opt_param "epsilon" epsilon
-                @ opt_param_i "max_steps" max_steps);
-            sc_state = Snapshot.Tau_ck ck;
-          }
-      in
-      let r, run_ms =
-        timed (fun () ->
-            Ssa.Tau_leap.run ~env ~seed ?sample_dt ?epsilon ?max_steps
-              ~cancel ~on_cancel ~t1 net)
-      in
-      let result =
-        Json.Obj
-          [
-            ("t1", Json.num t1);
-            ("species", names_json net);
-            ("final", vec_json r.Ssa.Tau_leap.final);
-            ("n_leaps", Json.int r.Ssa.Tau_leap.n_leaps);
-            ("n_exact", Json.int r.Ssa.Tau_leap.n_exact);
-          ]
-      in
-      ( result,
-        run_ms,
-        [
-          ("leaps", Json.int r.Ssa.Tau_leap.n_leaps);
-          ("events", Json.int r.Ssa.Tau_leap.n_exact);
-        ] ))
-
-(* the hybrid engine reuses both halves of the cache entry — the SSA
-   compilation for the slow partition, the CSR ODE system for the fast
-   one — so a warm-cache hybrid request compiles nothing *)
-let handle_hybrid srv req ~cancel =
-  let env = env_of req in
-  let t1 = t1_of req in
-  let seed = Int64.of_int (Option.value ~default:1 (get_int req "seed")) in
-  let pop_threshold = get_float req "pop_threshold" in
-  let prop_threshold = get_float req "prop_threshold" in
-  let repartition_every = get_int req "repartition_every" in
-  let epsilon = get_float req "epsilon" in
-  let max_events = get_int req "max_events" in
-  let sample_dt = get_float req "sample_dt" in
-  (match pop_threshold with
-  | Some v when v < 0. ->
-      reject (Error.Bad_request "\"pop_threshold\" must be >= 0")
-  | _ -> ());
-  (match prop_threshold with
-  | Some v when v < 0. ->
-      reject (Error.Bad_request "\"prop_threshold\" must be >= 0")
-  | _ -> ());
-  (match repartition_every with
-  | Some v when v < 1 ->
-      reject (Error.Bad_request "\"repartition_every\" must be >= 1")
-  | _ -> ());
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
-      let model =
-        Hybrid.Engine.model_of ~ssa:entry.Model_cache.ssa
-          ~sys:entry.Model_cache.sys
-      in
-      let on_cancel ck =
-        stash_checkpoint
-          {
-            Snapshot.sc_net = net;
-            sc_env = env;
-            sc_t1 = t1;
-            sc_seed = seed;
-            sc_params =
-              Array.of_list
-                (opt_param "sample_dt" sample_dt
-                @ opt_param "pop_threshold" pop_threshold
-                @ opt_param "prop_threshold" prop_threshold
-                @ opt_param_i "repartition_every" repartition_every
-                @ opt_param "epsilon" epsilon
-                @ opt_param_i "max_events" max_events);
-            sc_state = Snapshot.Hybrid_ck ck;
-          }
-      in
-      let r, run_ms =
-        timed (fun () ->
-            Hybrid.Engine.run ~env ~seed ?sample_dt ?pop_threshold
-              ?prop_threshold ?repartition_every ?epsilon ?max_events ~model
-              ~cancel ~on_cancel ~t1 net)
-      in
-      let s = r.Hybrid.Engine.stats in
-      let result =
-        Json.Obj
-          [
-            ("t1", Json.num t1);
-            ("species", names_json net);
-            ("final", vec_json r.Hybrid.Engine.final);
-            ("n_events", Json.int r.Hybrid.Engine.n_events);
-            ( "stats",
-              Json.Obj
-                [
-                  ("ssa_events", Json.int s.Hybrid.Engine.n_ssa_events);
-                  ("tau_leaps", Json.int s.Hybrid.Engine.n_tau_leaps);
-                  ("tau_events", Json.int s.Hybrid.Engine.n_tau_events);
-                  ("ode_steps", Json.int s.Hybrid.Engine.n_ode_steps);
-                  ("repartitions", Json.int s.Hybrid.Engine.n_repartitions);
-                  ("mode_switches", Json.int s.Hybrid.Engine.n_mode_switches);
-                  ("rejected", Json.int s.Hybrid.Engine.n_rejected);
-                  ("final_n_fast", Json.int s.Hybrid.Engine.final_n_fast);
-                  ("final_n_slow", Json.int s.Hybrid.Engine.final_n_slow);
-                  ("peak_n_fast", Json.int s.Hybrid.Engine.peak_n_fast);
-                ] );
-          ]
-      in
-      ( result,
-        run_ms,
-        [
-          ("events", Json.int r.Hybrid.Engine.n_events);
-          ("tau_leaps", Json.int s.Hybrid.Engine.n_tau_leaps);
-          ("ode_steps", Json.int s.Hybrid.Engine.n_ode_steps);
-          ("repartitions", Json.int s.Hybrid.Engine.n_repartitions);
-        ] ))
-
-let handle_ensemble srv req ~cancel =
-  let env = env_of req in
-  let t1 = t1_of req in
-  let seed = Int64.of_int (Option.value ~default:1 (get_int req "seed")) in
+let handle_ensemble job =
+  let req = job.req in
+  let env = env_of req and t1 = t1_of req in
   let runs = Option.value ~default:20 (get_int req "runs") in
-  if runs < 1 then reject (Error.Bad_request "\"runs\" must be >= 1");
+  if runs < 1 then bad "\"runs\" must be >= 1";
   let jobs = get_int req "jobs" in
-  (match jobs with
-  | Some j when j < 1 -> reject (Error.Bad_request "\"jobs\" must be >= 1")
-  | _ -> ());
-  let engine = Option.value ~default:"ssa" (get_str req "engine") in
-  let pop_threshold = get_float req "pop_threshold" in
-  let prop_threshold = get_float req "prop_threshold" in
-  let repartition_every = get_int req "repartition_every" in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
-      (* fan the trajectories over the server's own pool: the request job
-         occupying this worker participates as worker 0, extra helpers
-         are borrowed from the same pool if idle (a saturated pool just
-         means less parallelism, never deadlock). The cached compiled
-         model is shared read-only; each worker gets one reusable
-         arena. *)
+  (match jobs with Some j when j < 1 -> bad "\"jobs\" must be >= 1" | _ -> ());
+  let name = Option.value ~default:"ssa" (get_str req "engine") in
+  let e, worker =
+    match
+      List.find_opt (fun e -> e.Engines.name = name) stochastic_engines
+    with
+    | Some ({ Engines.worker = Some w; _ } as e) -> (e, w)
+    | _ ->
+        bad
+          (Printf.sprintf "unknown ensemble engine %S (%s)" name
+             (String.concat ", "
+                (List.map (fun e -> e.Engines.name) stochastic_engines)))
+  in
+  let k = e.Engines.knobs Engines.Ensemble req in
+  with_model job ~env (fun { model = m; _ } ->
+      (* fan the trajectories over the host's pool: on the daemon the
+         request job occupying this worker participates as worker 0 and
+         extra helpers are borrowed if idle (a saturated pool just means
+         less parallelism, never deadlock). The compiled model is shared
+         read-only; each worker domain gets one reusable arena. *)
       let finals, run_ms =
-        match engine with
-        | "ssa" ->
-            let model = entry.Model_cache.ssa in
-            timed (fun () ->
-                Ssa.Ensemble.map_with ~pool:srv.pool ?jobs ~seed
-                  ~init_worker:(fun () -> Ssa.Gillespie.make_arena model)
-                  ~runs
-                  (fun arena _ s ->
-                    (Ssa.Gillespie.run ~env ~seed:s ~arena ~cancel ~t1 net)
-                      .Ssa.Gillespie.final))
-        | "tau" ->
-            let model = Ssa.Tau_leap.compile_model env net in
-            timed (fun () ->
-                Ssa.Ensemble.map_with ~pool:srv.pool ?jobs ~seed
-                  ~init_worker:(fun () -> Ssa.Tau_leap.make_arena model)
-                  ~runs
-                  (fun arena _ s ->
-                    (Ssa.Tau_leap.run ~env ~seed:s ~arena ~cancel ~t1 net)
-                      .Ssa.Tau_leap.final))
-        | "hybrid" ->
-            let model =
-              Hybrid.Engine.model_of ~ssa:entry.Model_cache.ssa
-                ~sys:entry.Model_cache.sys
-            in
-            timed (fun () ->
-                Ssa.Ensemble.map_with ~pool:srv.pool ?jobs ~seed
-                  ~init_worker:(fun () -> Hybrid.Engine.make_arena model)
-                  ~runs
-                  (fun arena _ s ->
-                    (Hybrid.Engine.run ~env ~seed:s ?pop_threshold
-                       ?prop_threshold ?repartition_every ~arena ~cancel ~t1
-                       net)
-                      .Hybrid.Engine.final))
-        | other ->
-            reject
-              (Error.Bad_request
-                 (Printf.sprintf
-                    "unknown ensemble engine %S (ssa, tau, hybrid)" other))
+        timed (fun () ->
+            Ssa.Ensemble.map_with ?pool:job.host.pool ?jobs ~seed:k.Engines.seed
+              ~init_worker:(worker k ~cancel:job.cancel ~t1 m)
+              ~runs
+              (fun run _ s -> run s))
       in
-      let n = Crn.Network.n_species net in
+      let n = Crn.Network.n_species m.Engines.net in
       let mean = Array.make n 0. and std = Array.make n 0. in
       for i = 0 to n - 1 do
         let xs = Array.map (fun f -> f.(i)) finals in
@@ -567,39 +329,40 @@ let handle_ensemble srv req ~cancel =
           [
             ("t1", Json.num t1);
             ("runs", Json.int runs);
-            ("species", names_json net);
+            ("species", names_json m.Engines.net);
             ("mean", vec_json mean);
             ("std", vec_json std);
           ]
       in
       (result, run_ms, [ ("runs", Json.int runs) ]))
 
-let handle_sweep srv req ~cancel =
+let handle_sweep job =
+  let req = job.req in
   let t1 = t1_of req in
-  let method_ = method_of req in
+  let method_ = Engines.method_of (get req "method") in
   let jobs = get_int req "jobs" in
   let ratios =
     match Option.bind (get req "ratios") Json.to_list with
-    | None | Some [] -> reject (Error.Bad_request "missing \"ratios\"")
+    | None | Some [] -> bad "missing \"ratios\""
     | Some xs ->
         Array.of_list
           (List.map
              (fun x ->
                match Json.to_float x with
                | Some r when r > 0. -> r
-               | _ -> reject (Error.Bad_request "\"ratios\" must be > 0"))
+               | _ -> bad "\"ratios\" must be > 0")
              xs)
   in
   (* the sweep compiles one model per ratio point internally; the cache
      still saves synthesis of the network itself. Key the entry under
      the default env so every sweep over the same network shares it. *)
   let env = Crn.Rates.default_env in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
+  with_model job ~env (fun { model = m; _ } ->
+      let net = m.Engines.net in
       let finals, run_ms =
         timed (fun () ->
-            Ode.Sweep.final_states ~pool:srv.pool ?jobs ~method_ ~cancel ~t1
-              net ~ratios)
+            Ode.Sweep.final_states ?pool:job.host.pool ?jobs ~method_
+              ~cancel:job.cancel ~t1 net ~ratios)
       in
       let result =
         Json.Obj
@@ -612,12 +375,13 @@ let handle_sweep srv req ~cancel =
       in
       (result, run_ms, [ ("points", Json.int (Array.length ratios)) ]))
 
-let handle_dsd srv req ~cancel:_ =
-  let env = env_of req in
-  let c_max = get_float req "c_max" in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
-      let t, run_ms = timed (fun () -> Dsd.Translate.translate ?c_max net) in
+let handle_dsd job =
+  let env = env_of job.req in
+  let c_max = get_float job.req "c_max" in
+  with_model job ~env (fun { model = m; _ } ->
+      let t, run_ms =
+        timed (fun () -> Dsd.Translate.translate ?c_max m.Engines.net)
+      in
       let compiled = t.Dsd.Translate.compiled in
       let result =
         Json.Obj
@@ -632,17 +396,123 @@ let handle_dsd srv req ~cancel:_ =
       in
       (result, run_ms, []))
 
+(* ----------------------------------------------------- streamed traces *)
+
+(* The trace op streams a simulation instead of buffering it: a header
+   frame (species names), then sample-chunk frames as the engine
+   produces them, then a final frame that is a normal response envelope
+   with the ["done"] marker — so a client watches the run instead of
+   holding the full trajectory in one reply, and a gateway relays frames
+   as they pass without parsing more than the done prefix. The ODE
+   integrator streams live; the stochastic engines own their sampling
+   clock, so their finished trace streams out in chunks. *)
+
+type chunker = {
+  chunk_size : int;
+  ck_emit : Json.t -> unit;
+  mutable buf_t : float list;  (* reversed *)
+  mutable buf_x : Json.t list;  (* reversed *)
+  mutable buf_n : int;
+  mutable n_chunks : int;
+  mutable n_samples : int;
+}
+
+let flush_chunk ck =
+  if ck.buf_n > 0 then begin
+    ck.ck_emit
+      (Json.Obj
+         [
+           ("chunk", Json.int ck.n_chunks);
+           ("t", Json.List (List.rev_map Json.num ck.buf_t));
+           ("x", Json.List (List.rev ck.buf_x));
+         ]);
+    ck.n_chunks <- ck.n_chunks + 1;
+    ck.buf_t <- [];
+    ck.buf_x <- [];
+    ck.buf_n <- 0
+  end
+
+let chunk_sample ck t x =
+  (* vec_json copies the state now — the integrator reuses its buffer *)
+  ck.buf_t <- t :: ck.buf_t;
+  ck.buf_x <- vec_json x :: ck.buf_x;
+  ck.buf_n <- ck.buf_n + 1;
+  ck.n_samples <- ck.n_samples + 1;
+  if ck.buf_n >= ck.chunk_size then flush_chunk ck
+
+(* streamed handler body: sends header + chunk frames, returns the
+   final result like the other handlers *)
+let stream_trace job (e : Engines.entry) (k : Engines.knobs) ~chunk_size ~t1
+    ?resume (m : Engines.model) =
+  (* header goes out before the run starts: the client learns the
+     species while the engine is still working *)
+  job.emit
+    (Json.Obj
+       [
+         ("stream", Json.str "trace");
+         ("op", Json.str "trace");
+         ("engine", Json.str e.Engines.name);
+         ("species", names_json m.Engines.net);
+         ("t1", Json.num t1);
+       ]);
+  let ck =
+    {
+      chunk_size;
+      ck_emit = job.emit;
+      buf_t = [];
+      buf_x = [];
+      buf_n = 0;
+      n_chunks = 0;
+      n_samples = 0;
+    }
+  in
+  let o, run_ms =
+    timed (fun () ->
+        k.Engines.run ?resume ?on_cancel:(on_cancel job m ~t1 k)
+          ~on_sample:(chunk_sample ck) ~cancel:job.cancel ~t1 m)
+  in
+  flush_chunk ck;
+  let result =
+    Json.Obj
+      ([
+         ("t1", Json.num t1);
+         ("samples", Json.int ck.n_samples);
+         ("chunks", Json.int ck.n_chunks);
+         ("species", names_json m.Engines.net);
+         ("final", vec_json o.Engines.final);
+       ]
+      @ o.Engines.fields)
+  in
+  (result, run_ms, ("samples", Json.int ck.n_samples) :: o.Engines.counters)
+
+let handle_trace job =
+  let req = job.req in
+  let name = Option.value ~default:"ode" (get_str req "engine") in
+  let e =
+    match Engines.find name with
+    | Some e -> e
+    | None ->
+        bad
+          (Printf.sprintf "unknown trace engine %S (%s)" name
+             (String.concat ", " Engines.names))
+  in
+  let chunk_size = positive_int req "chunk" ~default:256 in
+  let env = env_of req and t1 = t1_of req in
+  let k = e.Engines.knobs Engines.Trace req in
+  with_model job ~env (fun { model = m; _ } ->
+      stream_trace job e k ~chunk_size ~t1 m)
+
 let compute_handler op =
-  match op with
-  | "parse" -> Some handle_parse
-  | "ode" -> Some handle_ode
-  | "ssa" -> Some handle_ssa
-  | "tau" -> Some handle_tau
-  | "hybrid" -> Some handle_hybrid
-  | "ensemble" -> Some handle_ensemble
-  | "sweep" -> Some handle_sweep
-  | "dsd" -> Some handle_dsd
-  | _ -> None
+  match Engines.find op with
+  | Some e -> Some (handle_engine e)
+  | None -> (
+      match op with
+      | "parse" -> Some handle_parse
+      | "ensemble" -> Some handle_ensemble
+      | "sweep" -> Some handle_sweep
+      | "dsd" -> Some handle_dsd
+      | "trace" -> Some handle_trace
+      | _ -> None)
 
 (* ------------------------------------------------------------ responses *)
 
@@ -650,8 +520,7 @@ let compute_handler op =
    field leads the object so the serialized form has the stable prefix
    {"done": that a relaying gateway matches without parsing *)
 let envelope ~done_ fields =
-  Json.to_string
-    (Json.Obj (if done_ then ("done", Json.Bool true) :: fields else fields))
+  Json.Obj (if done_ then ("done", Json.Bool true) :: fields else fields)
 
 let response_ok ?(done_ = false) ~op ~result ~metrics () =
   envelope ~done_
@@ -681,177 +550,20 @@ let quick_metrics ?(cache = Metrics.Not_applicable) ~arrival () =
     extra = [];
   }
 
-(* ----------------------------------------------------- streamed traces *)
+let deadline_of req ~default ~arrival =
+  match
+    match get_float req "deadline_ms" with Some ms -> Some ms | None -> default
+  with
+  | Some ms when ms > 0. -> Some (arrival +. (ms /. 1000.))
+  | _ -> None
 
-(* The trace op streams a long simulation instead of buffering it: a
-   header frame (species names), then sample-chunk frames as the
-   integrator produces them, then a final frame that is a normal
-   response envelope with the ["done"] marker — so a client watches the
-   run instead of holding the full trajectory in one reply, and a
-   gateway relays frames as they pass without parsing more than the
-   done prefix. *)
-
-type chunker = {
-  chunk_size : int;
-  ck_conn : conn;
-  mutable buf_t : float list;  (* reversed *)
-  mutable buf_x : Json.t list;  (* reversed *)
-  mutable buf_n : int;
-  mutable n_chunks : int;
-  mutable n_samples : int;
-  mutable last_t : float;
-}
-
-let chunker ~chunk_size conn =
-  {
-    chunk_size;
-    ck_conn = conn;
-    buf_t = [];
-    buf_x = [];
-    buf_n = 0;
-    n_chunks = 0;
-    n_samples = 0;
-    last_t = neg_infinity;
-  }
-
-let stream_frame conn fields = send conn (Json.to_string (Json.Obj fields))
-
-let flush_chunk ck =
-  if ck.buf_n > 0 then begin
-    stream_frame ck.ck_conn
-      [
-        ("chunk", Json.int ck.n_chunks);
-        ("t", Json.List (List.rev_map Json.num ck.buf_t));
-        ("x", Json.List (List.rev ck.buf_x));
-      ];
-    ck.n_chunks <- ck.n_chunks + 1;
-    ck.buf_t <- [];
-    ck.buf_x <- [];
-    ck.buf_n <- 0
-  end
-
-let chunk_sample ck t x =
-  (* vec_json copies the state now — the integrator reuses its buffer *)
-  ck.buf_t <- t :: ck.buf_t;
-  ck.buf_x <- vec_json x :: ck.buf_x;
-  ck.buf_n <- ck.buf_n + 1;
-  ck.n_samples <- ck.n_samples + 1;
-  ck.last_t <- t;
-  if ck.buf_n >= ck.chunk_size then flush_chunk ck
-
-let positive_int req key ~default =
-  match get_int req key with
-  | None -> default
-  | Some n when n >= 1 -> n
-  | Some _ ->
-      reject (Error.Bad_request (Printf.sprintf "%S must be >= 1" key))
-
-(* streamed handler body; returns (result, run_ms, extra) like the
-   non-streaming handlers, having already sent header + chunk frames *)
-let handle_trace srv req ~cancel conn =
-  let engine = Option.value ~default:"ode" (get_str req "engine") in
-  let chunk_size = positive_int req "chunk" ~default:256 in
-  let env = env_of req in
-  let t1 = t1_of req in
-  with_model srv req ~env (fun entry ->
-      let net = entry.Model_cache.net in
-      (* header goes out before the run starts: the client learns the
-         species while the integrator is still working *)
-      stream_frame conn
-        [
-          ("stream", Json.str "trace");
-          ("op", Json.str "trace");
-          ("engine", Json.str engine);
-          ("species", names_json net);
-          ("t1", Json.num t1);
-        ];
-      let ck = chunker ~chunk_size conn in
-      match engine with
-      | "ode" ->
-          let method_ = method_of req in
-          let rtol = get_float req "rtol" and atol = get_float req "atol" in
-          let thin = positive_int req "thin" ~default:1 in
-          let x0 = Crn.Network.initial_state net in
-          (* exactly Ode.Driver.simulate's thinning: record the t = 0
-             boundary, skip the integrator's echo of it, keep every
-             thin-th accepted step, and always include the final state —
-             so a streamed trace is bitwise the trace a local
-             [Driver.simulate ~thin] records *)
-          let countdown = ref 0 in
-          let record_boundary t x =
-            chunk_sample ck t x;
-            countdown := thin - 1
-          in
-          let record_step t x =
-            if !countdown <= 0 then record_boundary t x else decr countdown
-          in
-          let first = ref true in
-          let on_sample t x =
-            if !first then first := false else record_step t x
-          in
-          let (xf, extra), run_ms =
-            timed (fun () ->
-                record_boundary 0. x0;
-                run_ode ~on_sample ~method_ ~rtol ~atol ~cancel ~t1
-                  ~sys:entry.Model_cache.sys x0)
-          in
-          if ck.last_t < t1 then chunk_sample ck t1 xf;
-          flush_chunk ck;
-          let result =
-            Json.Obj
-              [
-                ("t1", Json.num t1);
-                ("samples", Json.int ck.n_samples);
-                ("chunks", Json.int ck.n_chunks);
-                ("species", names_json net);
-                ("final", vec_json xf);
-              ]
-          in
-          (result, run_ms, ("samples", Json.int ck.n_samples) :: extra)
-      | "ssa" ->
-          let seed =
-            Int64.of_int (Option.value ~default:1 (get_int req "seed"))
-          in
-          let max_events = get_int req "max_events" in
-          let sample_dt = get_float req "sample_dt" in
-          let r, run_ms =
-            timed (fun () ->
-                Ssa.Gillespie.run ~env ~seed ?sample_dt ?max_events
-                  ~model:entry.Model_cache.ssa ~cancel ~t1 net)
-          in
-          (* the SSA engine owns its sampling cadence; its finished trace
-             streams out in chunks so the reply stays frame-bounded *)
-          let tr = r.Ssa.Gillespie.trace in
-          let times = Ode.Trace.times tr in
-          for i = 0 to Ode.Trace.length tr - 1 do
-            chunk_sample ck times.(i) (Ode.Trace.state_at_index tr i)
-          done;
-          flush_chunk ck;
-          let result =
-            Json.Obj
-              [
-                ("t1", Json.num t1);
-                ("samples", Json.int ck.n_samples);
-                ("chunks", Json.int ck.n_chunks);
-                ("species", names_json net);
-                ("final", vec_json r.Ssa.Gillespie.final);
-                ("n_events", Json.int r.Ssa.Gillespie.n_events);
-              ]
-          in
-          ( result,
-            run_ms,
-            [
-              ("samples", Json.int ck.n_samples);
-              ("events", Json.int r.Ssa.Gillespie.n_events);
-            ] )
-      | other ->
-          reject
-            (Error.Bad_request
-               (Printf.sprintf "unknown trace engine %S (ode, ssa)" other)))
-
-(* the body of a compute job, run on a worker domain; [stream] marks
-   the final response as a stream-terminating done frame *)
-let run_job ?(stream = false) srv conn ~op ~handler ~req ~arrival ~deadline =
+(* The body of a compute job, on a daemon worker domain or in-process:
+   arm the deadline, run the handler, and map everything it can die of
+   onto the response envelope. Returns the envelope with its metrics
+   block and error code; [stream] marks it a stream-terminating done
+   frame. *)
+let execute ?(stream = false) host ~emit ~op ~handler ~req ~arrival ~deadline
+    =
   let started = Unix.gettimeofday () in
   let queue_wait_ms = (started -. arrival) *. 1000. in
   let cancel =
@@ -859,7 +571,9 @@ let run_job ?(stream = false) srv conn ~op ~handler ~req ~arrival ~deadline =
     | None -> Numeric.Cancel.never
     | Some at -> Numeric.Cancel.of_fun (fun () -> Unix.gettimeofday () > at)
   in
-  let finish ~cache ~compile_ms ~run_ms ~extra outcome =
+  let job = { host; req; cancel; emit; checkpoint = None } in
+  let finish ?(cache = Metrics.Not_applicable) ?(compile_ms = 0.)
+      ?(run_ms = 0.) ?(extra = []) outcome =
     let metrics =
       {
         Metrics.queue_wait_ms;
@@ -870,74 +584,207 @@ let run_job ?(stream = false) srv conn ~op ~handler ~req ~arrival ~deadline =
         extra;
       }
     in
-    let payload, error_code =
-      match outcome with
-      | Ok result -> (response_ok ~done_:stream ~op ~result ~metrics (), None)
-      | Stdlib.Error err ->
-          ( response_error ~done_:stream ~op ~error:err ~metrics (),
-            Some (Error.code err) )
-    in
-    Metrics.record srv.metrics ~op ~error:error_code ~request:metrics;
-    send conn payload
+    match outcome with
+    | Ok result ->
+        (response_ok ~done_:stream ~op ~result ~metrics (), metrics, None)
+    | Stdlib.Error err ->
+        ( response_error ~done_:stream ~op ~error:err ~metrics (),
+          metrics,
+          Some (Error.code err) )
   in
   let budget_ms =
-    match deadline with
-    | Some at -> (at -. arrival) *. 1000.
-    | None -> 0.
+    match deadline with Some at -> (at -. arrival) *. 1000. | None -> 0.
   in
-  (* write the stashed engine checkpoint (if any) under the state
-     directory and return the relative token the error response carries;
-     persistence failures just drop the token — the deadline error
+  (* persistence failures just drop the token — the deadline error
      stands either way *)
   let persist_checkpoint () =
-    match (take_checkpoint (), srv.config.state_dir) with
-    | None, _ | _, None -> None
-    | Some sc, Some dir -> (
-        try
-          let ckdir = Filename.concat dir "checkpoints" in
-          (try Unix.mkdir ckdir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let data = Snapshot.encode_sim sc in
-          let name =
-            Printf.sprintf "ck-%s.sim" (Digest.to_hex (Digest.string data))
-          in
-          Binio.write_raw_atomic (Filename.concat ckdir name) data;
-          Some (Filename.concat "checkpoints" name)
+    match (job.checkpoint, host.save_checkpoint) with
+    | Some sc, Some save -> (
+        try Some (save (Snapshot.encode_sim sc))
         with Sys_error _ | Unix.Unix_error _ -> None)
+    | _ -> None
   in
-  ignore (take_checkpoint () : Snapshot.sim_checkpoint option);
-  (try
-     if Numeric.Cancel.cancelled cancel then
-       (* expired while queued: don't start a run we know is dead *)
-       finish ~cache:Metrics.Not_applicable ~compile_ms:0. ~run_ms:0.
-         ~extra:[]
-         (Stdlib.Error (Error.Deadline_exceeded { budget_ms; checkpoint = None }))
-     else
-       let result, cache, compile_ms, run_ms, extra =
-         handler srv req ~cancel
-       in
-       finish ~cache ~compile_ms ~run_ms ~extra (Ok result)
-   with
-  | Reject err ->
-      finish ~cache:Metrics.Not_applicable ~compile_ms:0. ~run_ms:0. ~extra:[]
-        (Stdlib.Error err)
+  try
+    if Numeric.Cancel.cancelled cancel then
+      (* expired while queued: don't start a run we know is dead *)
+      finish
+        (Stdlib.Error
+           (Error.Deadline_exceeded { budget_ms; checkpoint = None }))
+    else
+      let result, cache, compile_ms, run_ms, extra = handler job in
+      finish ~cache ~compile_ms ~run_ms ~extra (Ok result)
+  with
   | Numeric.Cancel.Cancelled ->
       let checkpoint = persist_checkpoint () in
-      finish ~cache:Metrics.Not_applicable ~compile_ms:0. ~run_ms:0. ~extra:[]
-        (Stdlib.Error (Error.Deadline_exceeded { budget_ms; checkpoint }))
-  | e -> (
-      match Error.of_exn e with
-      | Some err ->
-          finish ~cache:Metrics.Not_applicable ~compile_ms:0. ~run_ms:0.
-            ~extra:[] (Stdlib.Error err)
+      finish (Stdlib.Error (Error.Deadline_exceeded { budget_ms; checkpoint }))
+  | e ->
+      finish
+        (Stdlib.Error
+           (match Error.of_exn e with
+           | Some err -> err
+           | None ->
+               Error.Internal
+                 (match e with
+                 | Failure msg | Invalid_argument msg -> msg
+                 | e -> Printexc.to_string e)))
+
+(* The validate op runs inline, like ping and stats: it compiles no
+   ODE/SSA models (no Model_cache entry) and never touches a pool
+   worker, so a rejected network costs the daemon nothing but the
+   exact-arithmetic pass itself. A rejection is an error envelope
+   ([validation_failed], one structured (code, detail) pair per problem)
+   that still carries the full certificate text in ["result"], so
+   clients print the same byte-deterministic certificate either way.
+   Returns the envelope, the error (if any), and the verdict when the
+   exact tier ran. *)
+let validate req ~arrival =
+  let metrics = quick_metrics ~arrival () in
+  match
+    let spec = network_spec req in
+    let net = build_network spec in
+    let title = match spec with `Catalog name -> name | `Text _ -> "network" in
+    Verify.certify ~title net
+  with
+  | exception e ->
+      let err =
+        match Error.of_exn e with
+        | Some err -> err
+        | None -> Error.Internal (Printexc.to_string e)
+      in
+      (response_error ~op:"validate" ~error:err ~metrics (), Some err, None)
+  | cert -> (
+      let result verdict =
+        Json.Obj
+          [
+            ("verdict", Json.str verdict);
+            ("certificate", Json.str (Exact.Certificate.render cert));
+          ]
+      in
+      match Verify.error_of_certificate cert with
       | None ->
-          finish ~cache:Metrics.Not_applicable ~compile_ms:0. ~run_ms:0.
-            ~extra:[]
-            (Stdlib.Error
-               (Error.Internal
-                  (match e with
-                  | Failure msg | Invalid_argument msg -> msg
-                  | e -> Printexc.to_string e)))));
+          ( response_ok ~op:"validate" ~result:(result "certified") ~metrics (),
+            None,
+            Some true )
+      | Some err ->
+          ( envelope ~done_:false
+              [
+                ("ok", Json.Bool false);
+                ("op", Json.str "validate");
+                ("error", Error.to_json err);
+                ("result", result "rejected");
+                ("metrics", Metrics.request_json metrics);
+              ],
+            Some err,
+            Some false ))
+
+let ping ~arrival =
+  response_ok ~op:"ping"
+    ~result:(Json.Obj [ ("protocol", Json.int protocol_version) ])
+    ~metrics:(quick_metrics ~arrival ()) ()
+
+let unknown_op op ~arrival =
+  response_error ~op
+    ~error:(Error.Bad_request (Printf.sprintf "unknown op %S" op))
+    ~metrics:(quick_metrics ~arrival ()) ()
+
+(* ------------------------------------------------------------ in-process *)
+
+let local_host checkpoint =
+  {
+    cache = None;
+    pool = None;
+    save_checkpoint =
+      Option.map
+        (fun path data ->
+          Binio.write_raw_atomic path data;
+          path)
+        checkpoint;
+  }
+
+let call ?checkpoint ?(on_frame = ignore) req =
+  let arrival = Unix.gettimeofday () in
+  match Option.value ~default:"" (get_str req "op") with
+  | "ping" -> ping ~arrival
+  | "validate" ->
+      let response, _, _ = validate req ~arrival in
+      response
+  | op -> (
+      match compute_handler op with
+      | None -> unknown_op op ~arrival
+      | Some handler ->
+          let response, _, _ =
+            execute ~stream:(op = "trace") (local_host checkpoint)
+              ~emit:on_frame ~op ~handler ~req ~arrival
+              ~deadline:(deadline_of req ~default:None ~arrival)
+          in
+          response)
+
+let resume ?checkpoint ?deadline_ms ?(on_frame = ignore) sc =
+  let arrival = Unix.gettimeofday () in
+  let st = sc.Snapshot.sc_state in
+  let e = Engines.of_state st in
+  let handler job =
+    let k =
+      e.Engines.restore ~seed:sc.Snapshot.sc_seed (Snapshot.param sc) st
+    in
+    let m, compile_ms =
+      timed (fun () -> Engines.compile sc.Snapshot.sc_env sc.Snapshot.sc_net)
+    in
+    let result, run_ms, extra =
+      stream_trace job e k ~chunk_size:256 ~t1:sc.Snapshot.sc_t1 ~resume:st m
+    in
+    (result, Metrics.Miss, compile_ms, run_ms, extra)
+  in
+  let req = Json.Obj [] in
+  let response, _, _ =
+    execute ~stream:true (local_host checkpoint) ~emit:on_frame ~op:"trace"
+      ~handler ~req ~arrival
+      ~deadline:(deadline_of req ~default:deadline_ms ~arrival)
+  in
+  response
+
+(* --------------------------------------------------------- server state *)
+
+type t = {
+  config : config;
+  cache : Model_cache.t;
+  metrics : Metrics.t;
+  pool : Numeric.Domain_pool.Bounded.t;
+}
+
+let logf srv fmt =
+  if srv.config.log then Printf.eprintf ("crnserved: " ^^ fmt ^^ "\n%!")
+  else Printf.ifprintf stderr fmt
+
+let send_json c j = send c (Json.to_string j)
+
+(* a deadline-cancelled run's checkpoint goes under the state directory;
+   the token is its path relative to the directory *)
+let save_under dir data =
+  let ckdir = Filename.concat dir "checkpoints" in
+  (try Unix.mkdir ckdir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let name = Printf.sprintf "ck-%s.sim" (Digest.to_hex (Digest.string data)) in
+  Binio.write_raw_atomic (Filename.concat ckdir name) data;
+  Filename.concat "checkpoints" name
+
+(* the compute job on a worker domain. A streamed trace keeps no
+   checkpoint: resuming one needs every sample already sent, and the
+   daemon streams traces so as not to hold them. *)
+let run_job ~stream srv conn ~op ~handler ~req ~arrival ~deadline =
+  let host =
+    {
+      cache = Some srv.cache;
+      pool = Some srv.pool;
+      save_checkpoint =
+        (if stream then None else Option.map save_under srv.config.state_dir);
+    }
+  in
+  let response, metrics, error =
+    execute ~stream host ~emit:(send_json conn) ~op ~handler ~req ~arrival
+      ~deadline
+  in
+  Metrics.record srv.metrics ~op ~error ~request:metrics;
+  send_json conn response;
   job_done conn
 
 (* ------------------------------------------------------------ dispatch *)
@@ -980,71 +827,11 @@ let handle_stats srv ~arrival =
   in
   response_ok ~op:"stats" ~result ~metrics:(quick_metrics ~arrival ()) ()
 
-(* The validate op runs inline on the event loop, like ping and stats:
-   it compiles no ODE/SSA models (no Model_cache entry) and never
-   touches a pool worker, so a rejected network costs the daemon nothing
-   but the exact-arithmetic pass itself. A rejection is an error
-   envelope ([validation_failed], one structured (code, detail) pair per
-   issue) that still carries the full certificate text in ["result"], so
-   clients print the same byte-deterministic certificate either way. *)
-let handle_validate srv req ~arrival =
-  match
-    let spec = network_spec req in
-    let net = build_network spec in
-    let title =
-      match spec with `Catalog name -> name | `Text _ -> "network"
-    in
-    Verify.certify ~title net
-  with
-  | exception Reject err ->
-      Metrics.record srv.metrics ~op:"validate" ~error:(Some (Error.code err))
-        ~request:(quick_metrics ~arrival ());
-      response_error ~op:"validate" ~error:err
-        ~metrics:(quick_metrics ~arrival ()) ()
-  | exception e ->
-      let err =
-        match Error.of_exn e with
-        | Some err -> err
-        | None -> Error.Internal (Printexc.to_string e)
-      in
-      Metrics.record srv.metrics ~op:"validate" ~error:(Some (Error.code err))
-        ~request:(quick_metrics ~arrival ());
-      response_error ~op:"validate" ~error:err
-        ~metrics:(quick_metrics ~arrival ()) ()
-  | cert -> (
-      let result verdict =
-        Json.Obj
-          [
-            ("verdict", Json.str verdict);
-            ("certificate", Json.str (Exact.Certificate.render cert));
-          ]
-      in
-      match Verify.error_of_certificate cert with
-      | None ->
-          Metrics.record_validate srv.metrics ~ok:true;
-          Metrics.record srv.metrics ~op:"validate" ~error:None
-            ~request:(quick_metrics ~arrival ());
-          response_ok ~op:"validate" ~result:(result "certified")
-            ~metrics:(quick_metrics ~arrival ()) ()
-      | Some err ->
-          Metrics.record_validate srv.metrics ~ok:false;
-          Metrics.record srv.metrics ~op:"validate"
-            ~error:(Some (Error.code err))
-            ~request:(quick_metrics ~arrival ());
-          envelope ~done_:false
-            [
-              ("ok", Json.Bool false);
-              ("op", Json.str "validate");
-              ("error", Error.to_json err);
-              ("result", result "rejected");
-              ("metrics", Metrics.request_json (quick_metrics ~arrival ()));
-            ])
-
 let dispatch srv conn payload =
   let arrival = Unix.gettimeofday () in
   match Json.of_string payload with
   | exception Json.Parse_error msg ->
-      send conn
+      send_json conn
         (response_error ~op:"?"
            ~error:(Error.Bad_request ("bad JSON: " ^ msg))
            ~metrics:(quick_metrics ~arrival ()) ())
@@ -1052,45 +839,32 @@ let dispatch srv conn payload =
       let op = Option.value ~default:"" (get_str req "op") in
       match op with
       | "" ->
-          send conn
+          send_json conn
             (response_error ~op:"?"
                ~error:(Error.Bad_request "missing \"op\"")
                ~metrics:(quick_metrics ~arrival ()) ())
-      | "ping" ->
-          send conn
-            (response_ok ~op:"ping"
-               ~result:
-                 (Json.Obj [ ("protocol", Json.int protocol_version) ])
-               ~metrics:(quick_metrics ~arrival ()) ())
+      | "ping" -> send_json conn (ping ~arrival)
       | "stats" ->
           Metrics.record srv.metrics ~op:"stats" ~error:None
             ~request:(quick_metrics ~arrival ());
-          send conn (handle_stats srv ~arrival)
-      | "validate" -> send conn (handle_validate srv req ~arrival)
+          send_json conn (handle_stats srv ~arrival)
+      | "validate" ->
+          let response, err, verdict = validate req ~arrival in
+          Option.iter
+            (fun ok -> Metrics.record_validate srv.metrics ~ok)
+            verdict;
+          Metrics.record srv.metrics ~op:"validate"
+            ~error:(Option.map Error.code err)
+            ~request:(quick_metrics ~arrival ());
+          send_json conn response
       | op -> (
-          let stream = op = "trace" in
-          let handler =
-            if stream then
-              Some
-                (fun srv req ~cancel -> handle_trace srv req ~cancel conn)
-            else compute_handler op
-          in
-          match handler with
-          | None ->
-              send conn
-                (response_error ~op
-                   ~error:
-                     (Error.Bad_request (Printf.sprintf "unknown op %S" op))
-                   ~metrics:(quick_metrics ~arrival ()) ())
+          match compute_handler op with
+          | None -> send_json conn (unknown_op op ~arrival)
           | Some handler ->
+              let stream = op = "trace" in
               let deadline =
-                match
-                  match get_float req "deadline_ms" with
-                  | Some ms -> Some ms
-                  | None -> srv.config.default_deadline_ms
-                with
-                | Some ms when ms > 0. -> Some (arrival +. (ms /. 1000.))
-                | _ -> None
+                deadline_of req ~default:srv.config.default_deadline_ms
+                  ~arrival
               in
               Mutex.lock conn.wmutex;
               conn.in_flight <- conn.in_flight + 1;
@@ -1105,7 +879,7 @@ let dispatch srv conn payload =
                 in
                 Metrics.record srv.metrics ~op ~error:(Some (Error.code err))
                   ~request:(quick_metrics ~arrival ());
-                send conn
+                send_json conn
                   (response_error ~done_:stream ~op ~error:err
                      ~metrics:(quick_metrics ~arrival ()) ());
                 job_done conn
@@ -1154,7 +928,7 @@ let run ?(stop = fun () -> false) config =
   (* tell the offending peer what killed its connection, best-effort,
      then let the reaper close the socket *)
   let kill c error =
-    send c
+    send_json c
       (response_error ~op:"?" ~error
          ~metrics:(quick_metrics ~arrival:(Unix.gettimeofday ()) ()) ());
     c.closing <- true
@@ -1170,9 +944,13 @@ let run ?(stop = fun () -> false) config =
           logf srv "conn refused: %d connections at the cap" config.max_conns;
           (try
              Wire.write_frame fd
-               (response_error ~op:"?"
-                  ~error:(Error.Connection_limit { max_conns = config.max_conns })
-                  ~metrics:(quick_metrics ~arrival:(Unix.gettimeofday ()) ()) ())
+               (Json.to_string
+                  (response_error ~op:"?"
+                     ~error:
+                       (Error.Connection_limit { max_conns = config.max_conns })
+                     ~metrics:
+                       (quick_metrics ~arrival:(Unix.gettimeofday ()) ())
+                     ()))
            with _ -> ());
           try Unix.close fd with _ -> ()
         end

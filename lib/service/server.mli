@@ -17,8 +17,13 @@
     stable prefix [{"done":] — which is how a relaying gateway spots
     the end of the stream without parsing. With ["engine": "ode"] the
     samples stream live while the integrator runs and reproduce
-    [Ode.Driver.simulate ~thin] bitwise; ["engine": "ssa"] streams the
-    finished run's sampled trace in chunks.
+    [Ode.Driver.simulate ~thin] bitwise; the stochastic engines stream
+    the finished run's sampled trace in chunks.
+
+    Engines come from {!Engines}: the [ode], [ssa], [tau] and [hybrid]
+    ops, the ["engine"] of [ensemble] and [trace], and their knobs are
+    the registry's, and a knob outside its engine's range is answered
+    with [bad_request].
 
     Concurrency: [ping]/[stats] are answered inline on the event-loop
     domain; compute ops are enqueued on a
@@ -54,9 +59,10 @@ type config = {
       (** warm persistent state root: compiled-model snapshots live in
           [<dir>/models] (loaded before the daemon accepts connections,
           written by a background persister on insert and eviction), and
-          deadline-cancelled runs drop resumable checkpoints in
+          deadline-cancelled engine runs drop resumable checkpoints in
           [<dir>/checkpoints], named by the [deadline_exceeded] error's
-          ["checkpoint"] token. [None] (the default) disables both. *)
+          ["checkpoint"] token (a [trace] stream keeps none). [None] (the
+          default) disables both. *)
 }
 
 val default_config : Addr.t -> config
@@ -73,6 +79,31 @@ val default_config : Addr.t -> config
     ({!Metrics.record_conn}). *)
 
 val protocol_version : int
+
+val call :
+  ?checkpoint:string -> ?on_frame:(Json.t -> unit) -> Json.t -> Json.t
+(** Run one request in this process through the daemon's own request
+    pipeline — the same handlers, knob checks, error mapping and
+    envelope — and return its response envelope without serializing it.
+    The network is compiled straight from the request (no model cache,
+    so no canonicalization); [ensemble] and [sweep] fan out over the
+    process-wide domain pool; a [trace] op's header and chunk frames go
+    to [on_frame]. A deadline-cancelled run's checkpoint is written to
+    [checkpoint], which the [deadline_exceeded] error then names; a
+    trace's holds every sample recorded so far, so {!resume} rebuilds
+    the whole trace. Answers every op but [stats]. *)
+
+val resume :
+  ?checkpoint:string ->
+  ?deadline_ms:float ->
+  ?on_frame:(Json.t -> unit) ->
+  Snapshot.sim_checkpoint ->
+  Json.t
+(** Continue a checkpointed run in-process, answered as a [trace] op:
+    the frames replay the samples recorded before the checkpoint, then
+    the continuation's, so the rebuilt trace and final state are bitwise
+    those of the uninterrupted run. [checkpoint] and [deadline_ms] work
+    as in {!call}. *)
 
 val run : ?stop:(unit -> bool) -> config -> unit
 (** Bind the address and serve until [stop ()] returns true (polled at

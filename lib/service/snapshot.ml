@@ -7,7 +7,8 @@
    - simulation checkpoints: a network plus run parameters plus one
      engine's loop-top mid-run state, self-contained so [crnsim
      --resume] (or a client retrying a deadline-cancelled request) can
-     continue the trajectory bitwise.
+     continue the trajectory bitwise. The engine's tag and state codec
+     are its {!Engines} entry's.
 
    Every decoder converts [Invalid_argument] from the rebuild
    constructors (network interning, [Deriv.of_raw] shape checks, ...)
@@ -247,259 +248,12 @@ let decode_model s =
     ms_ssa;
   }
 
-(* ---------- traces and engine scratch ---------- *)
-
-let w_trace b tr =
-  Binio.w_array Binio.w_string b (Ode.Trace.names tr);
-  let times = Ode.Trace.times tr in
-  Binio.w_int b (Array.length times);
-  Array.iteri
-    (fun i t ->
-      Binio.w_f64 b t;
-      Binio.w_f64_array b (Ode.Trace.state_at_index tr i))
-    times
-
-let r_trace r =
-  let names = Binio.r_array Binio.r_string r in
-  let len = Binio.r_int r in
-  if len < 0 then raise (Binio.Corrupt "negative trace length");
-  let tr = guarded (fun () -> Ode.Trace.create ~names) () in
-  for _ = 1 to len do
-    let t = Binio.r_f64 r in
-    let x = Binio.r_f64_array r in
-    if Array.length x <> Array.length names then
-      raise (Binio.Corrupt "trace state width mismatch");
-    Ode.Trace.record tr t x
-  done;
-  tr
-
-let w_engine_scratch b (st : Ssa.Prop_engine.state) =
-  Binio.w_f64_array b st.Ssa.Prop_engine.s_props;
-  Binio.w_f64_array b st.Ssa.Prop_engine.s_group_sum;
-  Binio.w_f64_array b st.Ssa.Prop_engine.s_acc;
-  Binio.w_int b st.Ssa.Prop_engine.s_since_refresh
-
-let r_engine_scratch r : Ssa.Prop_engine.state =
-  let s_props = Binio.r_f64_array r in
-  let s_group_sum = Binio.r_f64_array r in
-  let s_acc = Binio.r_f64_array r in
-  let s_since_refresh = Binio.r_int r in
-  { Ssa.Prop_engine.s_props; s_group_sum; s_acc; s_since_refresh }
-
-(* ---------- per-engine checkpoints ---------- *)
-
-let w_ssa_ck b (ck : Ssa.Gillespie.checkpoint) =
-  Binio.w_int_array b ck.Ssa.Gillespie.ck_counts;
-  Binio.w_f64 b ck.Ssa.Gillespie.ck_t;
-  Binio.w_f64 b ck.Ssa.Gillespie.ck_next_sample;
-  Binio.w_int b ck.Ssa.Gillespie.ck_n_events;
-  Binio.w_i64 b ck.Ssa.Gillespie.ck_rng;
-  w_engine_scratch b ck.Ssa.Gillespie.ck_engine;
-  w_trace b ck.Ssa.Gillespie.ck_trace
-
-let r_ssa_ck r : Ssa.Gillespie.checkpoint =
-  let ck_counts = Binio.r_int_array r in
-  let ck_t = Binio.r_f64 r in
-  let ck_next_sample = Binio.r_f64 r in
-  let ck_n_events = Binio.r_int r in
-  let ck_rng = Binio.r_i64 r in
-  let ck_engine = r_engine_scratch r in
-  let ck_trace = r_trace r in
-  {
-    Ssa.Gillespie.ck_counts;
-    ck_t;
-    ck_next_sample;
-    ck_n_events;
-    ck_rng;
-    ck_engine;
-    ck_trace;
-  }
-
-let w_tau_ck b (ck : Ssa.Tau_leap.checkpoint) =
-  Binio.w_int_array b ck.Ssa.Tau_leap.ck_counts;
-  Binio.w_f64 b ck.Ssa.Tau_leap.ck_t;
-  Binio.w_f64 b ck.Ssa.Tau_leap.ck_next_sample;
-  Binio.w_int b ck.Ssa.Tau_leap.ck_n_leaps;
-  Binio.w_int b ck.Ssa.Tau_leap.ck_n_exact;
-  Binio.w_int b ck.Ssa.Tau_leap.ck_steps;
-  Binio.w_i64 b ck.Ssa.Tau_leap.ck_rng;
-  w_trace b ck.Ssa.Tau_leap.ck_trace
-
-let r_tau_ck r : Ssa.Tau_leap.checkpoint =
-  let ck_counts = Binio.r_int_array r in
-  let ck_t = Binio.r_f64 r in
-  let ck_next_sample = Binio.r_f64 r in
-  let ck_n_leaps = Binio.r_int r in
-  let ck_n_exact = Binio.r_int r in
-  let ck_steps = Binio.r_int r in
-  let ck_rng = Binio.r_i64 r in
-  let ck_trace = r_trace r in
-  {
-    Ssa.Tau_leap.ck_counts;
-    ck_t;
-    ck_next_sample;
-    ck_n_leaps;
-    ck_n_exact;
-    ck_steps;
-    ck_rng;
-    ck_trace;
-  }
-
-let w_hybrid_ck b (ck : Hybrid.Engine.checkpoint) =
-  Binio.w_bool b ck.Hybrid.Engine.ck_mixed;
-  Binio.w_int_array b ck.Hybrid.Engine.ck_counts;
-  Binio.w_f64_array b ck.Hybrid.Engine.ck_x;
-  Binio.w_f64 b ck.Hybrid.Engine.ck_t;
-  Binio.w_f64 b ck.Hybrid.Engine.ck_next_sample;
-  Binio.w_f64 b ck.Hybrid.Engine.ck_g_int;
-  Binio.w_f64 b ck.Hybrid.Engine.ck_target;
-  Binio.w_i64 b ck.Hybrid.Engine.ck_rng;
-  w_engine_scratch b ck.Hybrid.Engine.ck_engine;
-  Binio.w_bool_array b ck.Hybrid.Engine.ck_fast;
-  Binio.w_bool_array b ck.Hybrid.Engine.ck_continuous;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_fast;
-  Binio.w_int_array b ck.Hybrid.Engine.ck_slow;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_ssa;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_tau_leaps;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_tau_events;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_ode;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_repart;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_switch;
-  Binio.w_int b ck.Hybrid.Engine.ck_n_rejected;
-  Binio.w_int b ck.Hybrid.Engine.ck_peak_fast;
-  Binio.w_int b ck.Hybrid.Engine.ck_loop_count;
-  Binio.w_bool b ck.Hybrid.Engine.ck_first;
-  w_trace b ck.Hybrid.Engine.ck_trace
-
-let r_hybrid_ck r : Hybrid.Engine.checkpoint =
-  let ck_mixed = Binio.r_bool r in
-  let ck_counts = Binio.r_int_array r in
-  let ck_x = Binio.r_f64_array r in
-  let ck_t = Binio.r_f64 r in
-  let ck_next_sample = Binio.r_f64 r in
-  let ck_g_int = Binio.r_f64 r in
-  let ck_target = Binio.r_f64 r in
-  let ck_rng = Binio.r_i64 r in
-  let ck_engine = r_engine_scratch r in
-  let ck_fast = Binio.r_bool_array r in
-  let ck_continuous = Binio.r_bool_array r in
-  let ck_n_fast = Binio.r_int r in
-  let ck_slow = Binio.r_int_array r in
-  let ck_n_ssa = Binio.r_int r in
-  let ck_n_tau_leaps = Binio.r_int r in
-  let ck_n_tau_events = Binio.r_int r in
-  let ck_n_ode = Binio.r_int r in
-  let ck_n_repart = Binio.r_int r in
-  let ck_n_switch = Binio.r_int r in
-  let ck_n_rejected = Binio.r_int r in
-  let ck_peak_fast = Binio.r_int r in
-  let ck_loop_count = Binio.r_int r in
-  let ck_first = Binio.r_bool r in
-  let ck_trace = r_trace r in
-  {
-    Hybrid.Engine.ck_mixed;
-    ck_counts;
-    ck_x;
-    ck_t;
-    ck_next_sample;
-    ck_g_int;
-    ck_target;
-    ck_rng;
-    ck_engine;
-    ck_fast;
-    ck_continuous;
-    ck_n_fast;
-    ck_slow;
-    ck_n_ssa;
-    ck_n_tau_leaps;
-    ck_n_tau_events;
-    ck_n_ode;
-    ck_n_repart;
-    ck_n_switch;
-    ck_n_rejected;
-    ck_peak_fast;
-    ck_loop_count;
-    ck_first;
-    ck_trace;
-  }
-
-let w_ode_ck b (ck : Ode.Driver.checkpoint) =
-  (match ck.Ode.Driver.ck_method with
-  | Ode.Driver.Ck_dopri5 c ->
-      Binio.w_u8 b 0;
-      Binio.w_f64 b c.Ode.Dopri5.ck_t;
-      Binio.w_f64_array b c.Ode.Dopri5.ck_x;
-      Binio.w_f64 b c.Ode.Dopri5.ck_h;
-      Binio.w_f64_array b c.Ode.Dopri5.ck_k1;
-      Binio.w_int b c.Ode.Dopri5.ck_steps;
-      Binio.w_int b c.Ode.Dopri5.ck_rejected;
-      Binio.w_int b c.Ode.Dopri5.ck_evals
-  | Ode.Driver.Ck_rosenbrock c ->
-      Binio.w_u8 b 1;
-      Binio.w_f64 b c.Ode.Rosenbrock.ck_t;
-      Binio.w_f64_array b c.Ode.Rosenbrock.ck_x;
-      Binio.w_f64 b c.Ode.Rosenbrock.ck_h;
-      Binio.w_int b c.Ode.Rosenbrock.ck_steps;
-      Binio.w_int b c.Ode.Rosenbrock.ck_rejected;
-      Binio.w_int b c.Ode.Rosenbrock.ck_factorizations;
-      Binio.w_int b c.Ode.Rosenbrock.ck_jac_evals;
-      Binio.w_int b c.Ode.Rosenbrock.ck_jac_reused;
-      Binio.w_bool b c.Ode.Rosenbrock.ck_jac_fresh
-  | Ode.Driver.Ck_fixed c ->
-      Binio.w_u8 b 2;
-      Binio.w_f64 b c.Ode.Fixed.ck_t;
-      Binio.w_f64_array b c.Ode.Fixed.ck_x);
-  Binio.w_int b ck.Ode.Driver.ck_countdown;
-  w_trace b ck.Ode.Driver.ck_trace
-
-let r_ode_ck r : Ode.Driver.checkpoint =
-  let ck_method =
-    match Binio.r_u8 r with
-    | 0 ->
-        let ck_t = Binio.r_f64 r in
-        let ck_x = Binio.r_f64_array r in
-        let ck_h = Binio.r_f64 r in
-        let ck_k1 = Binio.r_f64_array r in
-        let ck_steps = Binio.r_int r in
-        let ck_rejected = Binio.r_int r in
-        let ck_evals = Binio.r_int r in
-        Ode.Driver.Ck_dopri5
-          { Ode.Dopri5.ck_t; ck_x; ck_h; ck_k1; ck_steps; ck_rejected; ck_evals }
-    | 1 ->
-        let ck_t = Binio.r_f64 r in
-        let ck_x = Binio.r_f64_array r in
-        let ck_h = Binio.r_f64 r in
-        let ck_steps = Binio.r_int r in
-        let ck_rejected = Binio.r_int r in
-        let ck_factorizations = Binio.r_int r in
-        let ck_jac_evals = Binio.r_int r in
-        let ck_jac_reused = Binio.r_int r in
-        let ck_jac_fresh = Binio.r_bool r in
-        Ode.Driver.Ck_rosenbrock
-          {
-            Ode.Rosenbrock.ck_t;
-            ck_x;
-            ck_h;
-            ck_steps;
-            ck_rejected;
-            ck_factorizations;
-            ck_jac_evals;
-            ck_jac_reused;
-            ck_jac_fresh;
-          }
-    | 2 ->
-        let ck_t = Binio.r_f64 r in
-        let ck_x = Binio.r_f64_array r in
-        Ode.Driver.Ck_fixed { Ode.Fixed.ck_t; ck_x }
-    | _ -> raise (Binio.Corrupt "bad integrator checkpoint tag")
-  in
-  let ck_countdown = Binio.r_int r in
-  let ck_trace = r_trace r in
-  { Ode.Driver.ck_method; ck_countdown; ck_trace }
+let w_trace = Engines.w_trace
+let r_trace = Engines.r_trace
 
 (* ---------- self-contained simulation checkpoints ---------- *)
 
-type engine_state =
+type engine_state = Engines.state =
   | Ode_ck of Ode.Driver.checkpoint
   | Ssa_ck of Ssa.Gillespie.checkpoint
   | Tau_ck of Ssa.Tau_leap.checkpoint
@@ -514,11 +268,7 @@ type sim_checkpoint = {
   sc_state : engine_state;
 }
 
-let engine_name = function
-  | Ode_ck _ -> "ode"
-  | Ssa_ck _ -> "ssa"
-  | Tau_ck _ -> "tau"
-  | Hybrid_ck _ -> "hybrid"
+let engine_name st = (Engines.of_state st).Engines.name
 
 let encode_sim sc =
   let b = Binio.writer () in
@@ -531,19 +281,10 @@ let encode_sim sc =
       Binio.w_string b k;
       Binio.w_f64 b v)
     b sc.sc_params;
-  (match sc.sc_state with
-  | Ode_ck ck ->
-      Binio.w_u8 b 0;
-      w_ode_ck b ck
-  | Ssa_ck ck ->
-      Binio.w_u8 b 1;
-      w_ssa_ck b ck
-  | Tau_ck ck ->
-      Binio.w_u8 b 2;
-      w_tau_ck b ck
-  | Hybrid_ck ck ->
-      Binio.w_u8 b 3;
-      w_hybrid_ck b ck);
+  (* the engine tag and the state's codec come from the registry *)
+  let e = Engines.of_state sc.sc_state in
+  Binio.w_u8 b e.Engines.tag;
+  e.Engines.write b sc.sc_state;
   Binio.encode_file ~kind:sim_kind ~version:sim_version (Binio.contents b)
 
 let decode_sim s =
@@ -563,12 +304,9 @@ let decode_sim s =
       r
   in
   let sc_state =
-    match Binio.r_u8 r with
-    | 0 -> Ode_ck (r_ode_ck r)
-    | 1 -> Ssa_ck (r_ssa_ck r)
-    | 2 -> Tau_ck (r_tau_ck r)
-    | 3 -> Hybrid_ck (r_hybrid_ck r)
-    | _ -> raise (Binio.Corrupt "bad engine tag")
+    match Engines.of_tag (Binio.r_u8 r) with
+    | Some e -> e.Engines.read r
+    | None -> raise (Binio.Corrupt "bad engine tag")
   in
   Binio.expect_end r;
   { sc_net; sc_env; sc_t1; sc_seed; sc_params; sc_state }

@@ -45,7 +45,7 @@ val decode_model : string -> model_snapshot
     digest from [ms_net]/[ms_env] and compares — {!Model_cache} does
     that before admitting a warm entry. *)
 
-type engine_state =
+type engine_state = Engines.state =
   | Ode_ck of Ode.Driver.checkpoint
   | Ssa_ck of Ssa.Gillespie.checkpoint
   | Tau_ck of Ssa.Tau_leap.checkpoint
@@ -64,10 +64,11 @@ type sim_checkpoint = {
 }
 
 val engine_name : engine_state -> string
-(** ["ode"], ["ssa"], ["tau"] or ["hybrid"]. *)
+(** The state's {!Engines.entry} name. *)
 
 val encode_sim : sim_checkpoint -> string
 val decode_sim : string -> sim_checkpoint
+(** The engine tag and the state codec come from {!Engines}. *)
 
 val param : sim_checkpoint -> string -> float option
 (** Look up a named run parameter. *)

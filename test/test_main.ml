@@ -26,6 +26,7 @@ let () =
       ("fault", Test_fault.suite);
       ("ring", Test_ring.suite);
       ("gateway", Test_gateway.suite);
+      ("engines", Test_engines.suite);
       ("certificate", Test_certificate.suite);
       ("chassis", Test_chassis.suite);
     ]

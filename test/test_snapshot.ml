@@ -251,7 +251,8 @@ let test_save_load_cycle () =
       in
       let warmed =
         (Ssa.Gillespie.run ~env ~seed:5L
-           ~model:entry.Service.Model_cache.ssa ~t1:0.5 net)
+           ~model:entry.Service.Model_cache.model.Service.Engines.ssa ~t1:0.5
+           net)
           .Ssa.Gillespie.final
       in
       Alcotest.(check (array (float 0.))) "warm model runs identically"
