@@ -9,12 +9,17 @@
      dune exec bench/bench_ode.exe -- --quick            # CI smoke
      dune exec bench/bench_ode.exe -- --out path.json    # explicit output
 
-   JSON schema (mrsc-bench-ode/1):
+   JSON schema (mrsc-bench-ode/3):
      kernel.networks[]: per-network RHS and Jacobian evals/sec for the
        boxed baseline and the flat CSR kernel, and their ratio
        ("speedup"); both kernels are evaluated at the same
        mid-trajectory state and agree bitwise (asserted here and in the
-       test suite);
+       test suite). The lu_ fields measure the stiff path's linear algebra
+       at that state, W = I - gamma h J with h the last step Rosenbrock
+       accepted before it: "lu_per_s" is one Lu.refactor plus two solves
+       per iteration, "lu_nnz" the nonzeros of L + U, "lu_madds" the
+       factorization's multiply-adds (Lu.madds), next to the dense
+       loop's n (n - 1) (2n - 1) / 6 ("lu_dense_madds");
      sweep: wall time for the same rate-robustness sweep at jobs=1 and
        jobs=4, the scaling ratio, and whether the results were
        byte-identical across job counts (they must be). *)
@@ -50,7 +55,28 @@ type kernel_row = {
   rhs_csr : float;
   jac_ref : float;
   jac_csr : float;
+  lu_per_s : float;  (* refactor + two solves per second *)
+  lu_nnz : int;
+  lu_madds : int;
 }
+
+let gamma = 1. +. (1. /. sqrt 2.)
+
+(* the state at t = 5 and the last step size Rosenbrock accepted
+   before it *)
+let state_and_step sys net =
+  let prev = ref 0. and last = ref 0. in
+  let x, _ =
+    Ode.Rosenbrock.integrate ~t0:0. ~t1:5.
+      ~on_sample:(fun t _ ->
+        last := t -. !prev;
+        prev := t)
+      sys
+      (Crn.Network.initial_state net)
+  in
+  (x, !last)
+
+let dense_madds n = n * (n - 1) * ((2 * n) - 1) / 6
 
 let bench_kernel ~quick ~name build =
   let net = build () in
@@ -59,9 +85,7 @@ let bench_kernel ~quick ~name build =
   let refsys = Ode.Deriv.Reference.compile env net in
   let n = Ode.Deriv.dim sys in
   (* a mid-trajectory state, so fluxes are nonzero and representative *)
-  let x =
-    Ode.Driver.final_state ~method_:Ode.Driver.Rosenbrock ~env ~t1:5. net
-  in
+  let x, h = state_and_step sys net in
   let dx = Array.make n 0. in
   let dx' = Array.make n 0. in
   (* the two kernels must agree bitwise before we bother timing them *)
@@ -92,6 +116,18 @@ let bench_kernel ~quick ~name build =
     throughput ~batch:jac_batch (fun () ->
         ignore (Ode.Deriv.Reference.jacobian refsys x))
   in
+  let w =
+    Numeric.Mat.init n n (fun i j ->
+        (if i = j then 1. else 0.) -. (gamma *. h *. jac.(i).(j)))
+  in
+  let lu = Numeric.Lu.workspace n in
+  let k1 = Array.make n 0. and k2 = Array.make n 0. in
+  let lu_per_s =
+    throughput ~batch:(jac_batch / 4) (fun () ->
+        Numeric.Lu.refactor lu w;
+        Numeric.Lu.solve_into lu dx k1;
+        Numeric.Lu.solve_into lu k1 k2)
+  in
   let row =
     {
       network = name;
@@ -102,13 +138,17 @@ let bench_kernel ~quick ~name build =
       rhs_csr;
       jac_ref;
       jac_csr;
+      lu_per_s;
+      lu_nnz = Numeric.Lu.nnz lu;
+      lu_madds = Numeric.Lu.madds lu;
     }
   in
   Printf.printf
     "%-10s n=%-3d R=%-3d   RHS boxed %10.0f/s   flat %10.0f/s   speedup \
-     %.2fx   | jac boxed %8.0f/s   in-place %8.0f/s   speedup %.2fx\n%!"
+     %.2fx   | jac boxed %8.0f/s   in-place %8.0f/s   speedup %.2fx   | LU \
+     %8.0f/s   nnz %d   madds %d of %d dense\n%!"
     name n row.n_reactions rhs_ref rhs_csr (rhs_csr /. rhs_ref) jac_ref jac_csr
-    (jac_csr /. jac_ref);
+    (jac_csr /. jac_ref) lu_per_s row.lu_nnz row.lu_madds (dense_madds n);
   row
 
 (* One scaling-matrix row: the same sweep at one requested job count.
@@ -185,11 +225,14 @@ let json_kernel_row b r =
        \     \"rhs\": {\"baseline_evals_per_sec\": %.1f, \
         \"csr_evals_per_sec\": %.1f, \"speedup\": %.3f},\n\
        \     \"jacobian\": {\"baseline_evals_per_sec\": %.1f, \
-        \"inplace_evals_per_sec\": %.1f, \"speedup\": %.3f}}"
+        \"inplace_evals_per_sec\": %.1f, \"speedup\": %.3f},\n\
+       \     \"lu_per_s\": %.1f, \"lu_nnz\": %d, \"lu_madds\": %d, \
+        \"lu_dense_madds\": %d}"
        r.network r.n_species r.n_reactions r.jac_nnz r.rhs_ref r.rhs_csr
        (r.rhs_csr /. r.rhs_ref)
        r.jac_ref r.jac_csr
-       (r.jac_csr /. r.jac_ref))
+       (r.jac_csr /. r.jac_ref)
+       r.lu_per_s r.lu_nnz r.lu_madds (dense_madds r.n_species))
 
 let json_sweep_row b r =
   Buffer.add_string b
@@ -205,7 +248,7 @@ let json_sweep_row b r =
 
 let write_json ~path kernel_rows sweep_rows =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"mrsc-bench-ode/2\",\n";
+  Buffer.add_string b "{\n  \"schema\": \"mrsc-bench-ode/3\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"recommended_domains\": %d,\n  \"host\": %s,\n"
        (Numeric.Domain_pool.default_jobs ())

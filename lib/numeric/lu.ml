@@ -1,154 +1,267 @@
-type t = { lu : Mat.t; perm : int array; mutable sign : float }
+(* Partial-pivoting LU that does only the nonzero work.
+
+   The result is the textbook right-looking loop's, entry for entry:
+   the same pivot (the first row of largest magnitude in the column),
+   the same per-entry update order and the same [Singular] threshold.
+   What it leaves out is arithmetic whose result is known: an update
+   [a - f * u] with [f] or [u] zero and the other finite subtracts a
+   signed zero, which can change at most the sign of a zero entry, and
+   so is skipped. Where an operand is infinite or NaN the skip is not
+   exact (0 * inf = NaN), so a non-finite multiplier or pivot row takes
+   the full-row update, and the solves take every entry of a row once
+   an earlier unknown is non-finite.
+
+   Rows stay where they were written; [perm] says which row sits at
+   each pivot position. Each row records, as elimination goes, the
+   columns of its nonzero multipliers (its L pattern, at the front of
+   [pat.(r)]) and, when it becomes the pivot row, its nonzero columns
+   right of the diagonal (its U pattern, in the last [nu.(r)] slots),
+   both ascending. A row has at most [n - 1] such columns, so both fit.
+   The solves walk those patterns, and loading the next matrix zeroes
+   only them. *)
+
+type t = {
+  n : int;
+  a : Mat.t;
+  perm : int array;
+  mutable odd : bool;  (* an odd number of row swaps *)
+  pat : int array array;
+  nl : int array;
+  nu : int array;
+  nz : int array;  (* scratch: the rows to eliminate in one column *)
+  mutable clean : bool;
+      (* every nonzero of [a] lies on a recorded pattern or the
+         diagonal *)
+  mutable madds : int;
+}
 
 exception Singular
 
 let workspace n =
   if n < 0 then invalid_arg "Lu.workspace: negative size";
-  { lu = Mat.create n n 0.; perm = Array.init n (fun i -> i); sign = 1. }
+  {
+    n;
+    a = Mat.create n n 0.;
+    perm = Array.init n (fun i -> i);
+    odd = false;
+    pat = Array.init n (fun _ -> Array.make n 0);
+    nl = Array.make n 0;
+    nu = Array.make n 0;
+    nz = Array.make n 0;
+    clean = true;
+    madds = 0;
+  }
+
+(* zero the matrix: after a factorization that completed, only its
+   patterns and diagonal can be nonzero *)
+let clear t =
+  let n = t.n in
+  if t.clean then
+    for i = 0 to n - 1 do
+      let r = t.perm.(i) in
+      let ar = t.a.(r) and pr = t.pat.(r) in
+      ar.(i) <- 0.;
+      for q = 0 to t.nl.(r) - 1 do
+        Array.unsafe_set ar (Array.unsafe_get pr q) 0.
+      done;
+      for q = n - t.nu.(r) to n - 1 do
+        Array.unsafe_set ar (Array.unsafe_get pr q) 0.
+      done
+    done
+  else Array.iter (fun row -> Array.fill row 0 n 0.) t.a
+
+let factor t =
+  let n = t.n in
+  let a = t.a and perm = t.perm and pat = t.pat and nl = t.nl and nu = t.nu in
+  let nz = t.nz in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
+  Array.fill nl 0 n 0;
+  Array.fill nu 0 n 0;
+  t.odd <- false;
+  t.clean <- false;
+  t.madds <- 0;
+  for k = 0 to n - 1 do
+    (* partial pivoting: the first row of largest magnitude in column k.
+       A zero entry can neither win nor move the running maximum, so
+       the scan also collects the rows that have something to
+       eliminate (NaN counts as nonzero). *)
+    let p = ref k and best = ref (Float.abs a.(perm.(k)).(k)) and m = ref 0 in
+    for i = k to n - 1 do
+      let r = Array.unsafe_get perm i in
+      let v = Array.unsafe_get (Array.unsafe_get a r) k in
+      if v <> 0. then begin
+        Array.unsafe_set nz !m r;
+        incr m;
+        let u = Float.abs v in
+        if u > !best then begin
+          best := u;
+          p := i
+        end
+      end
+    done;
+    let p = !p in
+    if p <> k then begin
+      let tp = perm.(k) in
+      perm.(k) <- perm.(p);
+      perm.(p) <- tp;
+      t.odd <- not t.odd
+    end;
+    let rk = perm.(k) in
+    let ak = a.(rk) and pk = pat.(rk) in
+    let pv = ak.(k) in
+    if Float.abs pv < 1e-300 then raise Singular;
+    (* the pivot row's nonzero columns right of k: its U pattern *)
+    let cnt = ref 0 and finite = ref (Float.is_finite pv) in
+    for j = n - 1 downto k + 1 do
+      let v = Array.unsafe_get ak j in
+      if v <> 0. then begin
+        incr cnt;
+        Array.unsafe_set pk (n - !cnt) j;
+        if not (Float.is_finite v) then finite := false
+      end
+    done;
+    let cnt = !cnt and finite = !finite in
+    nu.(rk) <- cnt;
+    (* Against a finite pivot row, a row with a zero entry has a zero
+       multiplier and nothing to do: eliminate just the collected rows.
+       Otherwise 0 * inf or 0 / NaN may be NaN, so take every row. *)
+    let m =
+      if finite then !m
+      else begin
+        for i = k + 1 to n - 1 do
+          nz.(i - k - 1) <- perm.(i)
+        done;
+        n - k - 1
+      end
+    in
+    for q = 0 to m - 1 do
+      let r = nz.(q) in
+      if r <> rk then begin
+        let ar = a.(r) in
+        let f = ar.(k) /. pv in
+        ar.(k) <- f;
+        if f <> 0. then begin
+          pat.(r).(nl.(r)) <- k;
+          nl.(r) <- nl.(r) + 1;
+          t.madds <- t.madds + cnt
+        end;
+        if finite && Float.is_finite f then begin
+          if f <> 0. then
+            for q = n - cnt to n - 1 do
+              let j = Array.unsafe_get pk q in
+              Array.unsafe_set ar j
+                (Array.unsafe_get ar j -. (f *. Array.unsafe_get ak j))
+            done
+        end
+        else
+          for j = k + 1 to n - 1 do
+            ar.(j) <- ar.(j) -. (f *. ak.(j))
+          done
+      end
+    done
+  done;
+  t.clean <- true
 
 let refactor t a =
   let n, m = Mat.dims a in
   if n <> m then invalid_arg "Lu.refactor: matrix not square";
-  if Array.length t.perm <> n then invalid_arg "Lu.refactor: size mismatch";
-  let lu = t.lu in
+  if t.n <> n then invalid_arg "Lu.refactor: size mismatch";
   for i = 0 to n - 1 do
-    Array.blit a.(i) 0 lu.(i) 0 n;
-    t.perm.(i) <- i
+    Array.blit a.(i) 0 t.a.(i) 0 n
   done;
-  t.sign <- 1.;
-  for k = 0 to n - 1 do
-    (* partial pivoting: pick the largest magnitude entry in column k *)
-    let pivot = ref k in
-    for i = k + 1 to n - 1 do
-      if Float.abs lu.(i).(k) > Float.abs lu.(!pivot).(k) then pivot := i
+  factor t
+
+let refactor_shifted t s m ~rows ~cols =
+  let n = t.n in
+  if Array.length m <> n then invalid_arg "Lu.refactor_shifted: size mismatch";
+  if Array.length rows <> Array.length cols then
+    invalid_arg "Lu.refactor_shifted: pattern arrays differ in length";
+  let a = t.a in
+  (* the dense expression, (if i = j then 1 else 0) - s * m(i)(j), on
+     the diagonal and the pattern; everywhere else it is 0 - s * 0 = +0,
+     which [clear] leaves, unless s is not finite *)
+  if Float.is_finite s then begin
+    clear t;
+    for i = 0 to n - 1 do
+      a.(i).(i) <- 1. -. (s *. m.(i).(i))
     done;
-    if !pivot <> k then begin
-      let tmp = lu.(k) in
-      lu.(k) <- lu.(!pivot);
-      lu.(!pivot) <- tmp;
-      let tp = t.perm.(k) in
-      t.perm.(k) <- t.perm.(!pivot);
-      t.perm.(!pivot) <- tp;
-      t.sign <- -.t.sign
-    end;
-    let pv = lu.(k).(k) in
-    if Float.abs pv < 1e-300 then raise Singular;
-    for i = k + 1 to n - 1 do
-      let f = lu.(i).(k) /. pv in
-      lu.(i).(k) <- f;
-      for j = k + 1 to n - 1 do
-        lu.(i).(j) <- lu.(i).(j) -. (f *. lu.(k).(j))
-      done
+    for p = 0 to Array.length rows - 1 do
+      let i = rows.(p) and j = cols.(p) in
+      if i <> j then a.(i).(j) <- 0. -. (s *. m.(i).(j))
     done
-  done
+  end
+  else
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        a.(i).(j) <- (if i = j then 1. else 0.) -. (s *. m.(i).(j))
+      done
+    done;
+  factor t
 
-let decompose a =
-  let n, m = Mat.dims a in
-  if n <> m then invalid_arg "Lu.decompose: matrix not square";
-  let t = workspace n in
-  refactor t a;
-  t
-
-let solve_into { lu; perm; _ } b x =
-  let n = Array.length perm in
+let solve_into t b x =
+  let n = t.n in
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Lu.solve: dimension mismatch";
   if b == x then invalid_arg "Lu.solve_into: aliased arrays";
+  let a = t.a and perm = t.perm and pat = t.pat in
   for i = 0 to n - 1 do
     x.(i) <- b.(perm.(i))
   done;
-  (* forward substitution: L y = P b *)
-  for i = 1 to n - 1 do
-    for j = 0 to i - 1 do
-      x.(i) <- x.(i) -. (lu.(i).(j) *. x.(j))
-    done
+  (* forward substitution: L y = P b. A skipped zero entry would have
+     subtracted 0 * x(j), which is NaN once x(j) is not finite; from
+     then on every row takes all its entries. *)
+  let every = ref false in
+  for i = 0 to n - 1 do
+    let r = perm.(i) in
+    let ar = a.(r) in
+    let s = ref x.(i) in
+    if !every then
+      for j = 0 to i - 1 do
+        s := !s -. (ar.(j) *. x.(j))
+      done
+    else begin
+      let pr = pat.(r) in
+      for q = 0 to t.nl.(r) - 1 do
+        let j = Array.unsafe_get pr q in
+        s := !s -. (Array.unsafe_get ar j *. Array.unsafe_get x j)
+      done
+    end;
+    x.(i) <- !s;
+    if not (Float.is_finite !s) then every := true
   done;
   (* back substitution: U x = y *)
+  let every = ref false in
   for i = n - 1 downto 0 do
-    for j = i + 1 to n - 1 do
-      x.(i) <- x.(i) -. (lu.(i).(j) *. x.(j))
-    done;
-    x.(i) <- x.(i) /. lu.(i).(i)
+    let r = perm.(i) in
+    let ar = a.(r) in
+    let s = ref x.(i) in
+    if !every then
+      for j = i + 1 to n - 1 do
+        s := !s -. (ar.(j) *. x.(j))
+      done
+    else begin
+      let pr = pat.(r) in
+      for q = n - t.nu.(r) to n - 1 do
+        let j = Array.unsafe_get pr q in
+        s := !s -. (Array.unsafe_get ar j *. Array.unsafe_get x j)
+      done
+    end;
+    let v = !s /. ar.(i) in
+    x.(i) <- v;
+    if not (Float.is_finite v) then every := true
   done
 
-let solve t b =
-  let x = Array.make (Array.length t.perm) 0. in
-  solve_into t b x;
-  x
+let madds t = t.madds
 
-let solve_mat lu b =
-  let bt = Mat.transpose b in
-  Mat.transpose (Array.map (solve lu) bt)
-
-let det { lu; sign; perm } =
-  let n = Array.length perm in
-  let d = ref sign in
-  for i = 0 to n - 1 do
-    d := !d *. lu.(i).(i)
+let nnz t =
+  let c = ref t.n in
+  for r = 0 to t.n - 1 do
+    c := !c + t.nl.(r) + t.nu.(r)
   done;
-  !d
+  !c
 
-let inverse lu =
-  let n = Array.length lu.perm in
-  solve_mat lu (Mat.identity n)
-
-let solve_system a b = solve (decompose a) b
-
-(* Row-echelon reduction shared by [rank] and [nullspace]. Returns the
-   reduced matrix together with the list of pivot columns. *)
-let row_echelon eps a =
-  let m = Mat.copy a in
-  let rows, cols = Mat.dims m in
-  let pivots = ref [] in
-  let r = ref 0 in
-  let col = ref 0 in
-  while !r < rows && !col < cols do
-    let pivot = ref !r in
-    for i = !r + 1 to rows - 1 do
-      if Float.abs m.(i).(!col) > Float.abs m.(!pivot).(!col) then pivot := i
-    done;
-    if Float.abs m.(!pivot).(!col) <= eps then incr col
-    else begin
-      if !pivot <> !r then begin
-        let tmp = m.(!r) in
-        m.(!r) <- m.(!pivot);
-        m.(!pivot) <- tmp
-      end;
-      let pv = m.(!r).(!col) in
-      for j = 0 to cols - 1 do
-        m.(!r).(j) <- m.(!r).(j) /. pv
-      done;
-      for i = 0 to rows - 1 do
-        if i <> !r && Float.abs m.(i).(!col) > 0. then begin
-          let f = m.(i).(!col) in
-          for j = 0 to cols - 1 do
-            m.(i).(j) <- m.(i).(j) -. (f *. m.(!r).(j))
-          done
-        end
-      done;
-      pivots := (!r, !col) :: !pivots;
-      incr r;
-      incr col
-    end
-  done;
-  (m, List.rev !pivots)
-
-let rank ?(eps = 1e-9) a =
-  let _, pivots = row_echelon eps a in
-  List.length pivots
-
-let nullspace ?(eps = 1e-9) a =
-  let _, cols = Mat.dims a in
-  let m, pivots = row_echelon eps a in
-  let pivot_cols = List.map snd pivots in
-  let is_pivot j = List.mem j pivot_cols in
-  let free_cols =
-    List.filter (fun j -> not (is_pivot j)) (List.init cols (fun j -> j))
-  in
-  let basis_for free =
-    let v = Array.make cols 0. in
-    v.(free) <- 1.;
-    List.iter (fun (r, c) -> v.(c) <- -.m.(r).(free)) pivots;
-    v
-  in
-  List.map basis_for free_cols
+let perm t = Array.copy t.perm
+let sign t = if t.odd then -1. else 1.
+let entry t i j = t.a.(t.perm.(i)).(j)

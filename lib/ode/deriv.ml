@@ -348,6 +348,7 @@ let jacobian sys x =
   jac
 
 let jac_nnz sys = Array.length sys.jac_rows
+let jac_pattern sys = (Array.copy sys.jac_rows, Array.copy sys.jac_cols)
 
 let flux sys x i =
   if i < 0 || i >= sys.nr then

@@ -83,6 +83,11 @@ val jac_nnz : t -> int
 (** Number of structurally non-zero Jacobian entries (the sparsity
     pattern's size). *)
 
+val jac_pattern : t -> int array * int array
+(** [(rows, cols)]: the structurally non-zero Jacobian positions, one
+    pair per entry, each once — the entries {!jacobian_into} writes.
+    Fresh copies. *)
+
 val flux : t -> Numeric.Vec.t -> int -> float
 (** Instantaneous flux of reaction [i] at a state (for diagnostics). *)
 

@@ -174,7 +174,8 @@ let integrate ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(max_steps = 10_000_000)
     if !steps >= max_steps then
       Solver_error.raise_ ~solver:"Dopri5" ~t:!t
         (Solver_error.Max_steps max_steps);
-    if !h < 1e-14 *. Float.max 1. (Float.abs !t) then
+    (* negated so that a NaN step size also counts as underflow *)
+    if not (!h >= 1e-14 *. Float.max 1. (Float.abs !t)) then
       Solver_error.raise_ ~solver:"Dopri5" ~t:!t Solver_error.Step_underflow;
     let hh = Float.min !h (t1 -. !t) in
     let k1 = !rk1 and k7 = !rk7 in
@@ -201,6 +202,7 @@ let integrate ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(max_steps = 10_000_000)
     done;
     eval (!t +. hh) xnew k7;
     (* weighted RMS error norm *)
+    let finite = ref true in
     let err =
       let acc = ref 0. in
       for i = 0 to n - 1 do
@@ -213,11 +215,16 @@ let integrate ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(max_steps = 10_000_000)
           atol +. (rtol *. Float.max (Float.abs x.(i)) (Float.abs xnew.(i)))
         in
         let r = e /. sc in
-        acc := !acc +. (r *. r)
+        acc := !acc +. (r *. r);
+        if not (Float.is_finite xnew.(i)) then finite := false
       done;
       sqrt (!acc /. float_of_int n)
     in
-    if err <= 1. then begin
+    (* an overflowed candidate or error estimate is a failed step, not a
+       NaN step size: shrink h as far as one rejection may, so a real
+       blow-up ends in [Step_underflow] *)
+    let finite = !finite && Float.is_finite err in
+    if finite && err <= 1. then begin
       t := !t +. hh;
       Numeric.Vec.clamp_nonneg xnew;
       Numeric.Vec.blit ~src:xnew ~dst:x;
@@ -230,7 +237,8 @@ let integrate ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(max_steps = 10_000_000)
     end
     else incr rejected;
     let factor =
-      if err = 0. then 5.
+      if not finite then 0.2
+      else if err = 0. then 5.
       else Float.min 5. (Float.max 0.2 (0.9 *. (err ** -0.2)))
     in
     h := hh *. factor

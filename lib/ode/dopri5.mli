@@ -55,7 +55,10 @@ val integrate :
 (** Integrate from [t0] to [t1] starting at the given state. [on_sample]
     fires at the initial point and after every accepted step. Raises
     {!Solver_error.Error} if the step count is exhausted or the step
-    size underflows (stiffness signal), and {!Numeric.Cancel.Cancelled}
+    size underflows (stiffness signal; a NaN step size counts, and a
+    step whose candidate state or error estimate is not finite is
+    rejected with the smallest step factor, so an overflowing system
+    ends here too), and {!Numeric.Cancel.Cancelled}
     when [cancel] (polled once per attempted step, default
     {!Numeric.Cancel.never}) fires. Defaults: [rtol = 1e-6],
     [atol = 1e-9], [h0] chosen automatically, [max_steps = 10_000_000].

@@ -13,15 +13,15 @@ let gamma = 1. +. (1. /. sqrt 2.)
    run. Every array is fully (re)written before it is read — the state
    is blitted from [x0], the Jacobian matrix is zeroed wholesale at the
    start of [integrate] (so a workspace may even be reused across
-   systems with different sparsity patterns), and the stage vectors are
-   written by the stepper before use — so workspace reuse is
-   bitwise-invisible in the results. *)
+   systems with different sparsity patterns), W is rewritten whole into
+   the LU workspace, and the stage vectors are written by the stepper
+   before use — so workspace reuse is bitwise-invisible in the
+   results. *)
 type workspace = {
   ws_n : int;
   ws_x : float array;
   ws_fx : float array;
   ws_jac : Numeric.Mat.t;
-  ws_w : Numeric.Mat.t;
   ws_lu : Numeric.Lu.t;
   ws_k1 : float array;
   ws_k2 : float array;
@@ -37,7 +37,6 @@ let workspace n =
     ws_x = Array.make n 0.;
     ws_fx = Array.make n 0.;
     ws_jac = Numeric.Mat.create n n 0.;
-    ws_w = Numeric.Mat.create n n 0.;
     ws_lu = Numeric.Lu.workspace n;
     ws_k1 = Array.make n 0.;
     ws_k2 = Array.make n 0.;
@@ -53,10 +52,12 @@ let workspace n =
    The first-order embedded solution x + h k1 yields the error estimate
    (h/2) (k1 + k2).
 
-   All per-step storage — the Jacobian, W, the LU workspace, and the
+   All per-step storage — the Jacobian, the LU workspace, and the
    stage vectors — is allocated once up front: the Jacobian is written
-   in place over its sparsity pattern ({!Deriv.jacobian_into}) and W is
-   refactored into a reused {!Numeric.Lu} workspace. The Jacobian
+   in place over its sparsity pattern ({!Deriv.jacobian_into}), and W
+   is written straight into the reused {!Numeric.Lu} workspace on the
+   diagonal and that pattern only ({!Numeric.Lu.refactor_shifted}):
+   every other entry of W is 0 - gamma h * 0 = +0. The Jacobian
    depends only on the state, so after a step-size rejection (state
    unchanged, only h shrank) it is reused rather than rebuilt;
    [jac_reused] counts the rebuilds saved that way, while
@@ -100,7 +101,7 @@ let integrate ?(rtol = 1e-4) ?(atol = 1e-7) ?h0 ?(max_steps = 5_000_000)
   Numeric.Vec.blit ~src:x0 ~dst:x;
   let fx = ws.ws_fx in
   let jac = ws.ws_jac in
-  let w = ws.ws_w in
+  let jrows, jcols = Deriv.jac_pattern sys in
   let lu = ws.ws_lu in
   let k1 = ws.ws_k1 in
   let k2 = ws.ws_k2 in
@@ -150,7 +151,8 @@ let integrate ?(rtol = 1e-4) ?(atol = 1e-7) ?h0 ?(max_steps = 5_000_000)
     if !steps >= max_steps then
       Solver_error.raise_ ~solver:"Rosenbrock" ~t:!t
         (Solver_error.Max_steps max_steps);
-    if !h < 1e-14 *. Float.max 1. (Float.abs !t) then
+    (* negated so that a NaN step size also counts as underflow *)
+    if not (!h >= 1e-14 *. Float.max 1. (Float.abs !t)) then
       Solver_error.raise_ ~solver:"Rosenbrock" ~t:!t Solver_error.Step_underflow;
     let hh = Float.min !h (t1 -. !t) in
     if !jac_fresh then incr jac_reused
@@ -159,13 +161,10 @@ let integrate ?(rtol = 1e-4) ?(atol = 1e-7) ?h0 ?(max_steps = 5_000_000)
       incr jac_evals;
       jac_fresh := true
     end;
-    for i = 0 to n - 1 do
-      let wi = w.(i) and ji = jac.(i) in
-      for j = 0 to n - 1 do
-        wi.(j) <- (if i = j then 1. else 0.) -. (gamma *. hh *. ji.(j))
-      done
-    done;
-    (match Numeric.Lu.refactor lu w with
+    (match
+       Numeric.Lu.refactor_shifted lu (gamma *. hh) jac ~rows:jrows
+         ~cols:jcols
+     with
     | exception Numeric.Lu.Singular ->
         (* halve the step: a singular W means gamma*h*J hit an eigenvalue *)
         h := hh /. 2.;
@@ -184,6 +183,7 @@ let integrate ?(rtol = 1e-4) ?(atol = 1e-7) ?h0 ?(max_steps = 5_000_000)
         for i = 0 to n - 1 do
           xnew.(i) <- x.(i) +. (hh /. 2. *. ((3. *. k1.(i)) +. k2.(i)))
         done;
+        let finite = ref true in
         let err =
           let acc = ref 0. in
           for i = 0 to n - 1 do
@@ -192,11 +192,16 @@ let integrate ?(rtol = 1e-4) ?(atol = 1e-7) ?h0 ?(max_steps = 5_000_000)
               atol +. (rtol *. Float.max (Float.abs x.(i)) (Float.abs xnew.(i)))
             in
             let r = e /. sc in
-            acc := !acc +. (r *. r)
+            acc := !acc +. (r *. r);
+            if not (Float.is_finite xnew.(i)) then finite := false
           done;
           sqrt (!acc /. float_of_int n)
         in
-        if err <= 1. then begin
+        (* an overflowed candidate or error estimate is a failed step,
+           not a NaN step size: shrink h as far as one rejection may, so
+           a real blow-up ends in [Step_underflow] *)
+        let finite = !finite && Float.is_finite err in
+        if finite && err <= 1. then begin
           t := !t +. hh;
           Numeric.Vec.clamp_nonneg xnew;
           Numeric.Vec.blit ~src:xnew ~dst:x;
@@ -206,7 +211,8 @@ let integrate ?(rtol = 1e-4) ?(atol = 1e-7) ?h0 ?(max_steps = 5_000_000)
         end
         else incr rejected;
         let factor =
-          if err = 0. then 3.
+          if not finite then 0.2
+          else if err = 0. then 3.
           else Float.min 3. (Float.max 0.2 (0.9 /. sqrt err))
         in
         h := hh *. factor)

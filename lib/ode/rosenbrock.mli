@@ -3,12 +3,16 @@
     L-stable with [gamma = 1 + 1/sqrt 2], so it remains stable on the
     stiff rate separations ([k_fast / k_slow >= 1e4]) where the explicit
     integrator's step size collapses. Each step factorizes
-    [I - gamma h J] once (analytic Jacobian written in place by
-    {!Deriv.jacobian_into}) and back-substitutes twice; the embedded
-    first-order solution provides the error estimate. All per-step
-    storage — Jacobian, W, LU workspace, stage vectors — is allocated
-    once per [integrate] call, and the Jacobian is reused across
-    step-size rejections (the state has not changed, only [h]). *)
+    [W = I - gamma h J] once (analytic Jacobian written in place by
+    {!Deriv.jacobian_into}, W written from its pattern by
+    {!Numeric.Lu.refactor_shifted}) and back-substitutes twice; the
+    embedded first-order solution provides the error estimate. All
+    per-step storage — Jacobian, LU workspace (which holds W), stage
+    vectors — is allocated once per [integrate] call, and the Jacobian
+    is reused across step-size rejections (the state has not changed,
+    only [h]). A step whose candidate state or error estimate is not
+    finite is rejected with the smallest step factor, so an overflowing
+    system ends in a step-size underflow. *)
 
 type stats = {
   steps : int;  (** accepted steps *)
@@ -22,7 +26,7 @@ type stats = {
 }
 
 type workspace
-(** All per-integration storage (state copy, Jacobian, W, LU workspace,
+(** All per-integration storage (state copy, Jacobian, LU workspace,
     stage vectors), preallocatable so repeated integrations — sweep
     points, service requests — allocate nothing per run. Reuse is
     bitwise-invisible: every array is fully rewritten before it is read,

@@ -273,6 +273,36 @@ let test_trace_checkpoint_resume () =
     (answer (fun req ~on_frame -> Service.Server.call ~on_frame req) (req []))
     (answer (fun _ ~on_frame -> Service.Server.resume ~on_frame sc) (req []))
 
+(* --------------------------------------------------------- blow-up *)
+
+(* X -> 2X at the fast rate overflows near t = 0.71: a served ode run
+   must answer solver_failure (exit 3), not hold its worker forever.
+   The deadline turns a regression into a failure rather than a hang. *)
+let test_blowup_is_solver_failure () =
+  List.iter
+    (fun method_ ->
+      let req =
+        J.Obj
+          [
+            ("op", J.str "ode");
+            ( "network",
+              J.Obj [ ("text", J.str "init X 1\nX ->{fast} 2 X\n") ] );
+            ("t1", J.num 0.72);
+            ("method", J.str method_);
+            ("deadline_ms", J.num 10_000.);
+          ]
+      in
+      match (C.response_of_json (Service.Server.call req)).C.error with
+      | Some (Service.Error.Solver_failure _ as err) ->
+          Alcotest.(check int)
+            (method_ ^ ": exit 3") 3
+            (Service.Error.exit_code err)
+      | Some err ->
+          Alcotest.failf "%s: expected solver_failure, got %s" method_
+            (Service.Error.code err)
+      | None -> Alcotest.failf "%s: integrated past the overflow" method_)
+    [ "rosenbrock"; "dopri5" ]
+
 let suite =
   [
     Alcotest.test_case "every engine: in-process = daemon = gateway" `Quick
@@ -283,4 +313,6 @@ let suite =
       test_served_rk4_resume;
     Alcotest.test_case "in-process trace checkpoint resumes whole" `Quick
       test_trace_checkpoint_resume;
+    Alcotest.test_case "ode blow-up answers solver_failure" `Quick
+      test_blowup_is_solver_failure;
   ]

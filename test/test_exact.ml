@@ -194,7 +194,7 @@ let qcheck_tests =
         assume (!added > 0);
         let exact_laws = Crn.Conservation.laws net in
         let float_laws =
-          Numeric.Lu.nullspace
+          Dense_lu.nullspace
             (Numeric.Mat.transpose (Crn.Network.stoichiometry net))
         in
         List.length exact_laws = List.length float_laws

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "mrsc"
     [
       ("numeric", Test_numeric.suite);
+      ("lu", Test_lu.suite);
       ("exact", Test_exact.suite);
       ("crn", Test_crn.suite);
       ("equiv", Test_equiv.suite);

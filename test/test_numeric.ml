@@ -74,38 +74,38 @@ let test_mat_norm_inf () =
 let test_lu_solve () =
   let a = [| [| 4.; 3. |]; [| 6.; 3. |] |] in
   let b = [| 10.; 12. |] in
-  let x = Lu.solve_system a b in
+  let x = Dense_lu.solve_system a b in
   (* 4x + 3y = 10, 6x + 3y = 12 -> x = 1, y = 2 *)
   check_float "x" 1. x.(0);
   check_float "y" 2. x.(1)
 
 let test_lu_det () =
   let a = [| [| 2.; 0.; 0. |]; [| 0.; 3.; 0. |]; [| 0.; 0.; 4. |] |] in
-  check_float "det diag" 24. (Lu.det (Lu.decompose a));
+  check_float "det diag" 24. (Dense_lu.det (Dense_lu.decompose a));
   let p = [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  check_float "det swap" (-1.) (Lu.det (Lu.decompose p))
+  check_float "det swap" (-1.) (Dense_lu.det (Dense_lu.decompose p))
 
 let test_lu_inverse () =
   let a = [| [| 1.; 2. |]; [| 3.; 5. |] |] in
-  let inv = Lu.inverse (Lu.decompose a) in
+  let inv = Dense_lu.inverse (Dense_lu.decompose a) in
   Alcotest.(check bool) "A * A^-1 = I" true
     (Mat.equal ~eps:1e-9 (Mat.mul a inv) (Mat.identity 2))
 
 let test_lu_singular () =
   let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
   Alcotest.check_raises "singular" Lu.Singular (fun () ->
-      ignore (Lu.decompose a))
+      ignore (Dense_lu.decompose a))
 
 let test_lu_rank () =
-  Alcotest.(check int) "full rank" 2 (Lu.rank [| [| 1.; 0. |]; [| 0.; 1. |] |]);
+  Alcotest.(check int) "full rank" 2 (Dense_lu.rank [| [| 1.; 0. |]; [| 0.; 1. |] |]);
   Alcotest.(check int) "rank deficient" 1
-    (Lu.rank [| [| 1.; 2. |]; [| 2.; 4. |] |]);
-  Alcotest.(check int) "wide" 2 (Lu.rank [| [| 1.; 0.; 5. |]; [| 0.; 1.; 7. |] |])
+    (Dense_lu.rank [| [| 1.; 2. |]; [| 2.; 4. |] |]);
+  Alcotest.(check int) "wide" 2 (Dense_lu.rank [| [| 1.; 0.; 5. |]; [| 0.; 1.; 7. |] |])
 
 let test_lu_nullspace () =
   (* x + y + z with S = [1 1 1] has a 2-dimensional null space *)
   let a = [| [| 1.; 1.; 1. |] |] in
-  let basis = Lu.nullspace a in
+  let basis = Dense_lu.nullspace a in
   Alcotest.(check int) "dim" 2 (List.length basis);
   List.iter
     (fun v ->
@@ -115,7 +115,7 @@ let test_lu_nullspace () =
 
 let test_lu_nullspace_trivial () =
   Alcotest.(check int) "invertible has trivial null space" 0
-    (List.length (Lu.nullspace [| [| 1.; 2. |]; [| 3.; 5. |] |]))
+    (List.length (Dense_lu.nullspace [| [| 1.; 2. |]; [| 3.; 5. |] |]))
 
 (* ------------------------------------------------------------------ Rng *)
 
@@ -229,7 +229,7 @@ let qcheck_tests =
         for i = 0 to 2 do
           a.(i).(i) <- a.(i).(i) +. 50.
         done;
-        let x = Lu.solve_system a b in
+        let x = Dense_lu.solve_system a b in
         Vec.dist_inf (Mat.mul_vec a x) b < 1e-6);
     Test.make ~name:"interp: at sample nodes returns samples" ~count:100
       (make Gen.(array_size (int_range 2 20) (Gen.float_bound_exclusive 10.)))

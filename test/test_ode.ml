@@ -553,6 +553,82 @@ let qcheck_tests =
         jac = Ode.Deriv.jacobian sys x2);
   ]
 
+(* Rosenbrock trajectories, bit for bit: the digest of the %h text of
+   every sample (time, then each species) of a one-period run of four
+   catalog designs, pinned from the dense-LU integrator. The LU skips
+   only exactly-zero work, so these must never move. *)
+let rosenbrock_digest name t1 =
+  let tr =
+    Ode.Driver.simulate ~method_:Ode.Driver.Rosenbrock ~thin:10 ~t1
+      (Designs.Catalog.build name)
+  in
+  let b = Buffer.create 65536 in
+  let times = Ode.Trace.times tr in
+  for i = 0 to Ode.Trace.length tr - 1 do
+    Buffer.add_string b (Printf.sprintf "%h" times.(i));
+    Array.iter
+      (fun v -> Buffer.add_string b (Printf.sprintf " %h" v))
+      (Ode.Trace.state_at_index tr i);
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_rosenbrock_digests () =
+  (* t1 stays below one clock period: 6.33 on the absence chassis,
+     4.73 on the relaxation chassis *)
+  List.iter
+    (fun (name, t1, want) ->
+      Alcotest.(check string) name want (rosenbrock_digest name t1))
+    [
+      ("clock4", 6., "f185440e46fb76570dc5e95ad648ac43");
+      ("lfsr4", 6., "a3a29a4694b1deaad993a297e4b8f7ab");
+      ("rx-counter3", 4.5, "8c96ac9ac7cc50e051d5a28310f286f1");
+      ("biquad", 6., "10104bea1cb5d41331271e68d5c3263d");
+    ]
+
+(* X -> 2X at the fast rate overflows a float near t = 0.71. Both
+   adaptive methods must give up with a step underflow, without
+   accepting a non-finite state, instead of retrying a NaN step size
+   forever; so must a run handed a NaN first step. The cancel token
+   turns a regression into a failure rather than a hang. (The served
+   path, through the driver, is checked in test_engines.) *)
+let boom = "init X 1\nX ->{fast} 2 X\n"
+
+let test_blowup_ends () =
+  let net = Parser.network_of_string boom in
+  let sys = Ode.Deriv.compile Rates.default_env net in
+  let x0 = Network.initial_state net in
+  let run what ?h0 go =
+    let t0 = Unix.gettimeofday () in
+    let cancel =
+      Numeric.Cancel.of_fun (fun () -> Unix.gettimeofday () -. t0 > 10.)
+    in
+    let finite = ref true in
+    let on_sample _ x =
+      if not (Array.for_all Float.is_finite x) then finite := false
+    in
+    (match go h0 ~cancel ~on_sample with
+    | () -> Alcotest.failf "%s: integrated past the overflow" what
+    | exception Numeric.Cancel.Cancelled ->
+        Alcotest.failf "%s: still stepping after 10 s" what
+    | exception
+        Ode.Solver_error.Error
+          { reason = Ode.Solver_error.Step_underflow; t; _ } ->
+        Alcotest.(check bool)
+          (what ^ ": gives up before the end") true (t < 0.72));
+    Alcotest.(check bool) (what ^ ": accepted only finite states") true !finite
+  in
+  let rosenbrock h0 ~cancel ~on_sample =
+    ignore
+      (Ode.Rosenbrock.integrate ?h0 ~cancel ~t0:0. ~t1:0.72 ~on_sample sys x0)
+  and dopri5 h0 ~cancel ~on_sample =
+    ignore (Ode.Dopri5.integrate ?h0 ~cancel ~t0:0. ~t1:0.72 ~on_sample sys x0)
+  in
+  run "rosenbrock" rosenbrock;
+  run "dopri5" dopri5;
+  run "rosenbrock, NaN first step" ~h0:Float.nan rosenbrock;
+  run "dopri5, NaN first step" ~h0:Float.nan dopri5
+
 let suite =
   [
     ("deriv simple", `Quick, test_deriv_simple);
@@ -586,5 +662,7 @@ let suite =
     ("driver final state", `Quick, test_driver_final_state);
     ("steady found", `Quick, test_steady_found);
     ("steady not found", `Quick, test_steady_not_found);
+    ("rosenbrock trajectories pinned", `Quick, test_rosenbrock_digests);
+    ("blow-up ends in step underflow", `Quick, test_blowup_ends);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
