@@ -26,10 +26,12 @@
      chosen, via the same Ring the gateway uses, so each shard owns
      exactly K/N of them — the cross-process determinism the ring
      guarantees. Against --no-affinity (uniform random routing) every
-     shard sees all K sources, the LRU thrashes, and the p50 pays
-     compile on most requests: the p50 ratio is what cache affinity
-     buys. N = 4 shards keeps the random baseline's hit rate at ~1/4,
-     well away from the 50% boundary that would make the p50 noisy.
+     shard sees all K sources and the LRU thrashes. The fleet's cache
+     counts carry the property: under the ring it misses exactly K
+     times (each source's first touch), at random more. The p50 ratio
+     is reported too; since a miss costs well under a millisecond it is
+     small and says little. N = 4 shards keeps the random baseline's
+     hit rate at ~1/4.
 
    open_loop — a fixed arrival rate (scheduled arrivals, latency
      measured from the schedule so queueing delay is not hidden) over a
@@ -47,8 +49,9 @@
      respawn them, and replay the warm set once. Run twice: without
      --state-dir every source pays synthesis + compile again (the cold
      restart storm); with it each respawned shard reloads its snapshot
-     set at startup and the same replay is all cache hits. The cold/warm
-     p50 ratio is what warm persistent state buys on restart. *)
+     set at startup and the same replay is all cache hits. The warm
+     fleet's counts carry the property (every source reloaded, no
+     miss); the cold/warm p50 ratio is reported alongside. *)
 
 let now = Unix.gettimeofday
 
@@ -59,6 +62,17 @@ type fleet = {
   domain : unit Domain.t;
   addr : Service.Addr.t;
 }
+
+(* one request on a fresh connection *)
+let call addr op =
+  let c = Service.Client.connect addr in
+  Fun.protect
+    ~finally:(fun () -> Service.Client.close c)
+    (fun () ->
+      Service.Client.call c (Service.Json.Obj [ ("op", Service.Json.str op) ]))
+
+let answers_ping addr =
+  match call addr "ping" with _ -> true | exception _ -> false
 
 let start_fleet ?state_dir ~served ~dir ~shards ~jobs_per_shard
     ~cache_capacity ~affinity () =
@@ -92,19 +106,11 @@ let start_fleet ?state_dir ~served ~dir ~shards ~jobs_per_shard
   (* the gateway listens only after its shards accept; wait for ping *)
   let deadline = now () +. 30. in
   let rec wait () =
-    match
-      let c = Service.Client.connect addr in
-      Fun.protect
-        ~finally:(fun () -> Service.Client.close c)
-        (fun () ->
-          Service.Client.call c
-            (Service.Json.Obj [ ("op", Service.Json.str "ping") ]))
-    with
-    | _ -> ()
-    | exception _ ->
-        if now () > deadline then failwith "gateway did not come up";
-        Unix.sleepf 0.1;
-        wait ()
+    if not (answers_ping addr) then begin
+      if now () > deadline then failwith "gateway did not come up";
+      Unix.sleepf 0.1;
+      wait ()
+    end
   in
   wait ();
   { stop; domain; addr }
@@ -113,31 +119,37 @@ let stop_fleet f =
   Atomic.set f.stop true;
   Domain.join f.domain
 
+(* the gateway's stats answer at a path of keys *)
+let stats_at f path =
+  List.fold_left
+    (fun acc k -> Option.bind acc (Service.Json.member k))
+    (Some (call f.addr "stats"))
+    ("result" :: path)
+
 (* read summed fleet counters out of the gateway's stats fan-out *)
 let fleet_counts f keys =
-  let c = Service.Client.connect f.addr in
-  Fun.protect
-    ~finally:(fun () -> Service.Client.close c)
-    (fun () ->
-      let module J = Service.Json in
-      let resp =
-        Service.Client.call c (J.Obj [ ("op", J.str "stats") ])
-      in
-      let num key =
-        Option.value ~default:0.
-          (Option.bind
-             (List.fold_left
-                (fun acc k -> Option.bind acc (J.member k))
-                (Some resp)
-                [ "result"; "fleet"; key ])
-             J.to_float)
-      in
-      List.map num keys)
+  let fleet = stats_at f [ "fleet" ] in
+  List.map
+    (fun key ->
+      Option.value ~default:0.
+        (Option.bind
+           (Option.bind fleet (Service.Json.member key))
+           Service.Json.to_float))
+    keys
 
 let fleet_cache_counts f =
   match fleet_counts f [ "cache_hits"; "cache_misses" ] with
   | [ h; m ] -> (h, m)
   | _ -> assert false
+
+(* each spawned shard's pid, from the gateway's own stats block *)
+let shard_pids f =
+  match stats_at f [ "gateway"; "shards" ] with
+  | Some (Service.Json.List shards) ->
+      List.map
+        (fun s -> Option.bind (Service.Json.member "pid" s) Service.Json.to_int)
+        shards
+  | _ -> []
 
 (* -------------------------------------------------------- load loops *)
 
@@ -366,10 +378,9 @@ let pick_balanced_ratios ~design ~shards ~per_shard =
   Array.of_list (List.rev !picked)
 
 let scenario_affinity ~served ~dirbase ~smoke =
-  (* ma4 over SSA at a tiny horizon: a model-cache miss pays ~25 ms of
-     synthesis + canonicalization + dual-engine compile, a hit runs in
-     under a millisecond — the widest honest hit/miss contrast in the
-     catalog, so the p50 ratio measures routing, not the workload *)
+  (* ma4 over SSA at a tiny horizon: a hit runs in well under a
+     millisecond, and a model-cache miss adds synthesis, the key digest
+     and both compilers, a few tenths of a millisecond more *)
   let design = "ma4" and t1 = 0.05 in
   let shards = 4 and per_shard = 2 in
   let ratios = pick_balanced_ratios ~design ~shards ~per_shard in
@@ -494,12 +505,11 @@ let scenario_validate ~served ~dirbase ~smoke =
 
 (* restart-storm: SIGKILL every shard of a warmed fleet and replay the
    warm set once the supervisor has respawned them. Same design and
-   horizon as the affinity scenario, so a miss pays ~25 ms of synthesis
-   + compile and a hit runs in under a millisecond: the replay's p50 is
-   compile cost without --state-dir and snapshot-hit cost with it. The
-   respawn wait itself (backoff + process start) is polled out before
-   the measured replay and reported separately — it is identical in
-   both passes and would otherwise drown the contrast. *)
+   horizon as the affinity scenario: the replay's p50 is compile cost
+   without --state-dir and snapshot-hit cost with it. The respawn wait
+   itself (backoff + process start) is polled out before the measured
+   replay and reported separately — it is identical in both passes and
+   would otherwise drown the contrast. *)
 let scenario_restart ~served ~dirbase ~smoke =
   let design = "ma4" and t1 = 0.05 in
   let shards = 2 in
@@ -529,17 +539,35 @@ let scenario_restart ~served ~dirbase ~smoke =
         Service.Client.close warm;
         (* snapshot writes happen off the request path; let them land *)
         Unix.sleepf 0.7;
+        let old_pids = shard_pids fleet in
         (* SIGKILL every shard of this fleet (argv carries the unique
            socket prefix); the supervisor respawns on its backoff ladder *)
         ignore
           (Sys.command
              (Printf.sprintf "pkill -9 -f %s 2>/dev/null"
                 (Filename.quote (Filename.concat dir "shard-"))));
-        (* poll source 0 until the fleet answers again: respawn wait,
-           identical in both passes, excluded from the measured replay *)
+        (* wait until every shard is a respawned process answering on
+           its own socket (a shard warm-loads before it accepts): while
+           one is still down the gateway fails its sources over to a
+           ring successor, where they would miss. Then poll source 0
+           until the fleet answers. Respawn wait, identical in both
+           passes, excluded from the measured replay. *)
         let t_kill = now () in
+        let respawned () =
+          let pids = try shard_pids fleet with _ -> [] in
+          List.length pids = shards
+          && List.for_all2 (fun o p -> p <> None && p <> o) old_pids pids
+          && List.for_all
+               (fun i ->
+                 answers_ping
+                   (Service.Addr.Unix_sock
+                      (Filename.concat dir (Printf.sprintf "shard-%d.sock" i))))
+               (List.init shards Fun.id)
+        in
         let rec await () =
           let ok =
+            respawned ()
+            &&
             match
               let c = Service.Client.connect fleet.addr in
               Fun.protect

@@ -56,9 +56,14 @@ let rank_colors keyss =
   List.iteri (fun i k -> Hashtbl.add rank k i) all;
   List.map (Array.map (Hashtbl.find rank)) keyss
 
+(* refinement rounds run in this process: the deterministic cost count *)
+let rounds = Atomic.make 0
+let refinement_rounds () = Atomic.get rounds
+
 (* one joint refinement round; returns new colorings and whether anything
    split *)
 let refine_round infos colorings =
+  Atomic.incr rounds;
   let changed = ref false in
   let recolored =
     rank_colors
@@ -224,27 +229,34 @@ let fingerprint net =
    reaction order — exactly the invariances a compiled-model cache must
    NOT have: simulation output carries the species-name array in index
    order, and the stochastic engine's trajectories are reproducible only
-   for a fixed reaction ordering. The cache key is the fingerprint
-   extended with that concrete binding — the name array (pinning index
-   order), full-precision initial conditions, and the textual reaction
-   list — so equal keys guarantee identical observable behavior while
-   the structural component keeps the digest collision-resistant across
-   the many near-identical synthesized networks a service sees. *)
-let cache_key_of_fingerprint fingerprint net =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b fingerprint;
-  Buffer.add_char b '\n';
+   for a fixed reaction ordering. So the cache key refines nothing: it
+   digests the concrete binding in one pass, each length before what it
+   counts and each float as its IEEE bits, so equal keys mean equal
+   networks to the last bit of every amount and rate scale. *)
+let cache_key net =
+  let b = Buffer.create 4096 in
+  let int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let string s =
+    int (String.length s);
+    Buffer.add_string b s
+  in
+  let side s =
+    int (List.length s);
+    List.iter (fun (sp, c) -> int sp; int c) s
+  in
+  let names = Network.species_names net in
+  let reactions = Network.reactions net in
+  int (Array.length names);
+  Array.iter string names;
+  Array.iter float (Network.initial_state net);
+  int (Array.length reactions);
   Array.iter
-    (fun name ->
-      Buffer.add_string b name;
-      Buffer.add_char b '\x00')
-    (Network.species_names net);
-  Buffer.add_char b '\n';
-  Array.iter
-    (fun x -> Buffer.add_string b (Printf.sprintf "%.17g\x00" x))
-    (Network.initial_state net);
-  Buffer.add_char b '\n';
-  Buffer.add_string b (Network.to_string net);
+    (fun { Reaction.reactants; products; rate; label } ->
+      side reactants;
+      side products;
+      int (match rate.Rates.category with Rates.Fast -> 0 | Rates.Slow -> 1);
+      float rate.Rates.scale;
+      match label with None -> int (-1) | Some l -> string l)
+    reactions;
   Digest.to_hex (Digest.string (Buffer.contents b))
-
-let cache_key net = cache_key_of_fingerprint (fingerprint net) net

@@ -26,18 +26,17 @@ val fingerprint : Network.t -> string
     index order and reaction order — re-serializing and re-parsing a
     network preserves it. Equal fingerprints do {e not} prove isomorphism
     (symmetric networks can collide), but different fingerprints disprove
-    it; useful as a fast regression check. *)
+    it; useful as a regression check. It costs colour refinement (up to
+    hundreds of milliseconds on the catalog designs), so the simulation
+    service computes it only for a [parse] request. *)
 
 val cache_key : Network.t -> string
-(** {!fingerprint} extended into a compiled-model cache key: the
-    structural digest strengthened with the concrete species-name
-    binding, reaction order and initial conditions. Equal keys guarantee
-    the two networks compile to byte-identical simulators (same species
-    names and indices, same reaction indices), which the
-    renaming-invariant fingerprint alone cannot promise; the simulation
-    service keys its compiled-model cache on this. *)
+(** The compiled-model cache key: a digest of the network's exact
+    binding — species names in index order, initial amounts and rate
+    scales by their IEEE bits, and each reaction in order with its
+    sides, category and label. Equal keys mean byte-identical compiled
+    simulators and equal {!Network.to_string}. One pass over the
+    network, no colour refinement. *)
 
-val cache_key_of_fingerprint : string -> Network.t -> string
-(** [cache_key_of_fingerprint (fingerprint net) net = cache_key net],
-    for a caller that needs both without running the colour refinement
-    twice. *)
+val refinement_rounds : unit -> int
+(** Colour-refinement rounds run in this process so far. *)

@@ -17,7 +17,7 @@ type model = {
     what a {!Model_cache} entry holds. *)
 
 val compile : Crn.Rates.env -> Crn.Network.t -> model
-(** Both compilers, straight from a built network (no canonicalization). *)
+(** Both compilers, straight from a built network (no cache key). *)
 
 (** One engine's loop-top mid-run state. *)
 type state =

@@ -2,8 +2,9 @@
 
    One front-end process fans requests out over N crnserved worker
    shards. Routing is a consistent-hash ring ({!Ring}) keyed on the
-   request's compiled-model identity ({!Crn.Equiv.cache_key} plus the
-   rate environment), so a hot compiled model lives in exactly one
+   request's compiled-model identity (the {!Crn.Equiv.cache_key} digest
+   of the network's binding, plus the rate environment), the digest the
+   shards' model caches use, so a hot compiled model lives in exactly one
    shard's Model_cache and a repeated source is never re-synthesized
    anywhere in the fleet. The gateway speaks both framings: the
    length-prefixed wire protocol and HTTP/1.1 (POST /api, plus /health
@@ -282,9 +283,12 @@ let checkin s fd = s.idle <- fd :: s.idle
 (* ---------------------------------------------------------- routing key *)
 
 (* Reimplements the daemon's request decoding just far enough to name
-   the compiled model a request will use. The expensive step — building
-   the network to get its {!Crn.Equiv.cache_key} — runs once per
-   distinct source and is memoized; repeats hit the memo. Sources that
+   the compiled model a request will use: build the network (catalog
+   synthesis or a parse of the inline text) and digest its binding
+   ({!Crn.Equiv.cache_key}, one pass, no colour refinement). Both run on
+   the event loop, once per distinct source: the memo keeps the event
+   loop from re-parsing a large repeated text, and its hit and miss
+   counters show how many distinct sources the fleet sees. Sources that
    fail to build still get a deterministic key (the raw spec) so their
    structured error comes from a consistent shard. *)
 
@@ -326,9 +330,9 @@ let routing_key gw ~payload req =
       (* unroutable-by-model requests still route deterministically *)
       "payload:" ^ payload
   | Some (spec_str, spec) ->
-      (* the memo maps the source alone to its structural identity —
-         the rate environment only scales rates, so the same network at
-         a new ratio reuses the memoized build and only the routing tag
+      (* the memo maps the source alone to its binding digest — the
+         rate environment only scales rates, so the same network at a
+         new ratio reuses the memoized build and only the routing tag
          changes (mirroring the shards' cache_key+env model keying) *)
       let base =
         match Hashtbl.find_opt gw.memo spec_str with
@@ -888,15 +892,19 @@ let tick gw =
           | _ -> ()))
     gw.shards
 
-(* before opening the front door, wait (bounded) until every spawned
-   shard accepts a connection — so the first client request doesn't
-   race the fleet's boot *)
+(* before opening the front door, probe every shard and pool the
+   connection: wait (bounded) until each spawned shard accepts — so the
+   first client request doesn't race the fleet's boot — and probe
+   attached daemons once, without waiting, so that [up] (health,
+   metrics) counts a live one before any request is routed to it *)
 let wait_for_shards gw =
   let deadline =
-    Unix.gettimeofday () +. (gw.cfg.boot_timeout_ms /. 1000.)
+    match gw.cfg.backend with
+    | Spawn _ -> Unix.gettimeofday () +. (gw.cfg.boot_timeout_ms /. 1000.)
+    | Attach _ -> neg_infinity
   in
   let pending = ref (Array.to_list gw.shards) in
-  while !pending <> [] && Unix.gettimeofday () < deadline do
+  let probe () =
     pending :=
       List.filter
         (fun s ->
@@ -907,8 +915,12 @@ let wait_for_shards gw =
               checkin s fd;
               false
           | exception _ -> true)
-        !pending;
-    if !pending <> [] then Unix.sleepf 0.05
+        !pending
+  in
+  probe ();
+  while !pending <> [] && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05;
+    probe ()
   done;
   List.iter (fun s -> logf gw "shard %d: not up after boot wait" s.sid) !pending
 
@@ -1004,7 +1016,7 @@ let run ?(stop = fun () -> false) cfg =
     }
   in
   Array.iter (fun s -> spawn_shard gw s) gw.shards;
-  (match cfg.backend with Spawn _ -> wait_for_shards gw | Attach _ -> ());
+  wait_for_shards gw;
   let listeners =
     List.filter_map
       (fun (addr, http) ->

@@ -2,10 +2,14 @@
 
     One gateway process routes requests over N [crnserved] worker
     shards with a consistent-hash ring ({!Ring}) keyed on the request's
-    compiled-model identity ({!Crn.Equiv.cache_key} plus the rate
-    environment): a hot compiled model lives in exactly one shard's
-    cache, and a repeated source is never re-synthesized anywhere in
-    the fleet. Shard-side the gateway speaks the wire protocol and
+    compiled-model identity ({!Crn.Equiv.cache_key}, the digest of the
+    network's exact binding that the shards' model caches also use,
+    plus the rate environment): a hot compiled model lives in exactly
+    one shard's cache, and a repeated source is never re-synthesized
+    anywhere in the fleet. The gateway builds and digests each distinct
+    source once on its event loop (a catalog build or a parse, then one
+    pass over the network; no colour refinement) and memoizes the
+    result. Shard-side the gateway speaks the wire protocol and
     relays response frames byte-for-byte, so gateway responses are
     byte-identical to direct daemon responses — over the wire listener
     and over HTTP (the body bytes are the same envelope).
@@ -64,7 +68,8 @@ type config = {
   max_conns : int;
   shard_deadline_ms : float;  (** stats/metrics fan-out read deadline *)
   boot_timeout_ms : float;
-      (** wait for spawned shards to accept before listening *)
+      (** wait for spawned shards to accept before listening (attached
+          daemons are probed once, without waiting) *)
   log : bool;
   seed : int64;  (** jitter and random-routing stream *)
 }

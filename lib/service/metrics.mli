@@ -12,7 +12,7 @@ val cache_string : cache_outcome -> string
 type request = {
   queue_wait_ms : float;  (** time spent queued before a worker picked it up *)
   cache : cache_outcome;
-  compile_ms : float;  (** synthesis + canonicalization + compile; 0 on hit *)
+  compile_ms : float;  (** synthesis + model key + compile; 0 on hit *)
   run_ms : float;  (** simulation proper *)
   total_ms : float;  (** arrival to response, excluding socket transfer *)
   extra : (string * Json.t) list;  (** engine work counters (events, steps…) *)

@@ -2,28 +2,26 @@
 
    Two maps under one mutex:
 
-   - [models]: canonical network digest ({!Crn.Equiv.cache_key} extended
+   - [models]: network binding digest ({!Crn.Equiv.cache_key} extended
      with the rate environment) -> compiled entry (the network, its
      compiled ODE system, and the compiled SSA model). Distinct request
      sources that synthesize the same network under the same environment
      share one compiled entry through this digest.
    - [sources]: request-source digest -> model key. A repeat of an
-     identical request skips not just compilation but synthesis and
-     canonicalization too — the expensive part of a cold request — which
-     is what makes warm requests an order of magnitude cheaper.
+     identical request skips synthesis, the digest and compilation.
 
    Both compiled artifacts are immutable once built (runs keep all
    mutable state per-run), so entries are safely shared by concurrent
-   worker domains. Compilation happens under the lock: entries compile
-   in a few milliseconds, and serializing them keeps the code free of
+   worker domains. Compilation happens under the lock: a miss (build,
+   digest, both compilers) costs well under a millisecond on the catalog
+   designs, and serializing misses keeps the code free of
    duplicate-compile races. *)
 
 type entry = {
   key : string;
   model : Engines.model;
-  fingerprint : string;
   compile_ms : float;
-      (* what the cold path paid: synthesis + canonical digest + both
+      (* what the cold path paid: synthesis + binding digest + both
          compilers; reported in response metrics so clients see what the
          cache saves them *)
   mutable last_used : int;
@@ -100,7 +98,6 @@ let snapshot_of_entry entry ~sources =
     {
       Snapshot.ms_key = entry.key;
       ms_sources = Array.of_list sources;
-      ms_fingerprint = entry.fingerprint;
       ms_compile_ms = entry.compile_ms;
       ms_net = entry.model.Engines.net;
       ms_env = entry.model.Engines.env;
@@ -248,37 +245,29 @@ let evict_lru cache =
       List.iter (Hashtbl.remove cache.sources) stale;
       cache.evictions <- cache.evictions + 1
 
-(* one colour refinement yields both digests *)
-let keys env net =
-  let fingerprint = Crn.Equiv.fingerprint net in
-  ( fingerprint,
-    Crn.Equiv.cache_key_of_fingerprint fingerprint net ^ "@" ^ env_key env )
+let key env net = Crn.Equiv.cache_key net ^ "@" ^ env_key env
 
+(* the resident entry, and the one to answer with *)
 let compile_entry cache ~env ~build =
   let t0 = Unix.gettimeofday () in
   let net = build () in
-  let fingerprint, key = keys env net in
+  let key = key env net in
+  let elapsed_ms () = (Unix.gettimeofday () -. t0) *. 1000. in
   match Hashtbl.find_opt cache.models key with
-  | Some entry -> (entry, `Miss)
-      (* different source text, same canonical network: the digest
-         dedupes it onto the existing compiled entry; the request still
-         counts as a miss (it paid synthesis + digest) *)
+  | Some entry ->
+      (* different source text, same network: the digest dedupes it
+         onto the existing compiled entry; the request still counts as
+         a miss and reports what it paid (synthesis + digest), not the
+         compile that made the entry *)
+      (entry, { entry with compile_ms = elapsed_ms () })
   | None ->
       let model = Engines.compile env net in
-      let compile_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       let entry =
-        {
-          key;
-          model;
-          fingerprint;
-          compile_ms;
-          last_used = 0;
-          hits = 0;
-        }
+        { key; model; compile_ms = elapsed_ms (); last_used = 0; hits = 0 }
       in
       if Hashtbl.length cache.models >= cache.capacity then evict_lru cache;
       Hashtbl.replace cache.models key entry;
-      (entry, `Miss)
+      (entry, entry)
 
 let find_or_compile cache ~source_key ~env ~build =
   Mutex.lock cache.mutex;
@@ -297,7 +286,7 @@ let find_or_compile cache ~source_key ~env ~build =
           cache.hit_count <- cache.hit_count + 1;
           (entry, `Hit)
       | None ->
-          let entry, outcome = compile_entry cache ~env ~build in
+          let entry, answer = compile_entry cache ~env ~build in
           touch cache entry;
           Hashtbl.replace cache.sources source_key entry.key;
           cache.miss_count <- cache.miss_count + 1;
@@ -305,7 +294,7 @@ let find_or_compile cache ~source_key ~env ~build =
              writes; the request only enqueues (alias list included, so
              the snapshot memoizes synthesis too) *)
           schedule_persist cache entry;
-          (entry, outcome))
+          (answer, `Miss))
 
 let stats cache =
   Mutex.lock cache.mutex;
@@ -326,11 +315,11 @@ type warm_report = { loaded : int; skipped_corrupt : int; skipped_version : int 
 
 (* Admit one decoded snapshot under the lock. The stored key is
    untrusted: the digest is recomputed from the decoded network and
-   environment and must match, so a stale or tampered file (wrong
-   canonicalization revision, edited bytes that still pass the CRC by
-   construction) is skipped rather than poisoning the cache. *)
+   environment and must match, so a stale or tampered file (another
+   key revision, edited bytes that still pass the CRC by construction)
+   is skipped rather than poisoning the cache. *)
 let admit cache (ms : Snapshot.model_snapshot) =
-  let _, expect = keys ms.Snapshot.ms_env ms.Snapshot.ms_net in
+  let expect = key ms.Snapshot.ms_env ms.Snapshot.ms_net in
   if expect <> ms.Snapshot.ms_key then `Stale
   else if Hashtbl.mem cache.models expect then `Duplicate
   else if Hashtbl.length cache.models >= cache.capacity then `Full
@@ -345,7 +334,6 @@ let admit cache (ms : Snapshot.model_snapshot) =
             sys = ms.Snapshot.ms_sys;
             ssa = ms.Snapshot.ms_ssa;
           };
-        fingerprint = ms.Snapshot.ms_fingerprint;
         compile_ms = ms.Snapshot.ms_compile_ms;
         last_used = 0;
         hits = 0;

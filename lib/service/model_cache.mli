@@ -1,21 +1,20 @@
-(** LRU cache of compiled simulation models, keyed by canonical network
+(** LRU cache of compiled simulation models, keyed by network binding
     digest.
 
-    A cold request pays synthesis (catalog build or [.crn] parse),
-    canonicalization ({!Crn.Equiv.cache_key}) and compilation of both
+    A cold request pays synthesis (catalog build or [.crn] parse), the
+    binding digest ({!Crn.Equiv.cache_key}) and compilation of both
     engines ({!Ode.Deriv.compile} and {!Ssa.Gillespie.compile_model});
     the entry is then shared: an identical request source skips all of
     it via the source memo, and a {e different} source that synthesizes
-    the same canonical network under the same rate environment dedupes
-    onto the same compiled entry via the digest. Entries are immutable
-    compiled artifacts, safe to share across concurrent worker domains;
-    all cache state is mutex-protected. *)
+    the same network under the same rate environment dedupes onto the
+    same compiled entry via the digest. Entries are immutable compiled
+    artifacts, safe to share across concurrent worker domains; all
+    cache state is mutex-protected. *)
 
 type entry = {
-  key : string;  (** canonical digest + rate environment *)
+  key : string;  (** {!key} of the network under its environment *)
   model : Engines.model;  (** the network, compiled for every engine *)
-  fingerprint : string;  (** {!Crn.Equiv.fingerprint} of [net] *)
-  compile_ms : float;  (** wall time the cold path paid for this entry *)
+  compile_ms : float;  (** wall time the cold path paid *)
   mutable last_used : int;
   mutable hits : int;
 }
@@ -26,10 +25,9 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 32 entries; least-recently-used entries are evicted
     beyond that. Raises [Invalid_argument] if [capacity < 1]. *)
 
-val keys : Crn.Rates.env -> Crn.Network.t -> string * string
-(** [(fingerprint, key)] of a network under an environment, from one
-    canonicalization: the entry's {!entry.fingerprint} and the key it is
-    cached under. *)
+val key : Crn.Rates.env -> Crn.Network.t -> string
+(** {!Crn.Equiv.cache_key} plus the rate environment: the key an entry
+    is cached under. *)
 
 val source_key : spec:string -> env:Crn.Rates.env -> string
 (** Digest of a request's network specification (catalog name or inline
@@ -43,10 +41,11 @@ val find_or_compile :
   build:(unit -> Crn.Network.t) ->
   entry * [ `Hit | `Miss ]
 (** Return the cached entry for [source_key], or synthesize ([build]),
-    canonicalize and compile on a miss. [`Miss] is returned even when
-    the built network dedupes onto an existing compiled entry (the
-    request still paid synthesis). Exceptions from [build] (parse
-    errors...) propagate and cache nothing. *)
+    digest and compile on a miss. [`Miss] is returned even when the
+    built network dedupes onto an existing compiled entry (the request
+    still paid synthesis); the entry returned then carries this call's
+    own [compile_ms]. Exceptions from [build] (parse errors...)
+    propagate and cache nothing. *)
 
 val stats : t -> int * int * int * int
 (** [(entries, hits, misses, evictions)] since creation. *)

@@ -5,10 +5,12 @@
     computes the identical ring — the property that lets a gateway, a
     bench driver and a test agree on which shard owns a compiled model.
 
-    Keyed on {!Crn.Equiv.cache_key}, equal keys (and therefore
-    byte-identical compiled simulators) always land on the same shard;
-    adding or removing a shard moves only the keys that the new/old
-    shard's own points cover. *)
+    Keyed on {!Crn.Equiv.cache_key} (the digest of a network's exact
+    binding, so equal keys mean byte-identical compiled simulators),
+    a compiled model always lands on the same shard; adding or removing
+    a shard moves only the keys that the new/old shard's own points
+    cover. Placement depends on the key bytes alone, so a change to how
+    the key is computed moves each model's placement once. *)
 
 type t
 

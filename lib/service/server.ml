@@ -13,9 +13,7 @@
    job.
 
    Compiled models are cached across requests ({!Model_cache}): a warm
-   request skips synthesis, canonicalization and compilation, which is
-   the service's reason to exist — the engines were already fast, the
-   per-invocation setup was not. *)
+   request skips synthesis, the model key and compilation. *)
 
 type config = {
   address : Addr.t;
@@ -176,13 +174,11 @@ type resolved = {
   model : Engines.model;
   cache_outcome : Metrics.cache_outcome;
   compile_ms : float;
-  keys : (string * string) Lazy.t;  (* fingerprint, cache key *)
 }
 
 (* The daemon looks the network up in its model cache; an in-process
-   call compiles it straight from the built network — canonicalization
-   costs more than both compilers together, and a one-shot run has no
-   cache to key. *)
+   call compiles it straight from the built network, since a one-shot
+   run has no cache to key. *)
 let resolve host req ~env =
   let spec = network_spec req in
   match host.cache with
@@ -194,28 +190,19 @@ let resolve host req ~env =
           ~build:(fun () -> build_network spec)
       in
       let model = entry.Model_cache.model in
-      let keys =
-        Lazy.from_val (entry.Model_cache.fingerprint, entry.Model_cache.key)
-      in
       match outcome with
-      | `Hit -> { model; cache_outcome = Metrics.Hit; compile_ms = 0.; keys }
+      | `Hit -> { model; cache_outcome = Metrics.Hit; compile_ms = 0. }
       | `Miss ->
           {
             model;
             cache_outcome = Metrics.Miss;
             compile_ms = entry.Model_cache.compile_ms;
-            keys;
           })
   | None ->
       let model, compile_ms =
         timed (fun () -> Engines.compile env (build_network spec))
       in
-      {
-        model;
-        cache_outcome = Metrics.Miss;
-        compile_ms;
-        keys = lazy (Model_cache.keys env model.Engines.net);
-      }
+      { model; cache_outcome = Metrics.Miss; compile_ms }
 
 (* Each compute handler returns (result payload, cache outcome,
    compile_ms, run_ms, extra work counters). *)
@@ -242,18 +229,19 @@ let on_cancel job (m : Engines.model) ~t1 (k : Engines.knobs) =
 
 (* ------------------------------------------------------------ handlers *)
 
+(* the only op that refines colours: the fingerprint is computed here,
+   on demand, never on a model lookup *)
 let handle_parse job =
   let env = env_of job.req in
-  with_model job ~env (fun m ->
-      let net = m.model.Engines.net in
-      let fingerprint, key = Lazy.force m.keys in
+  with_model job ~env (fun { model = m; _ } ->
+      let net = m.Engines.net in
       let result =
         Json.Obj
           [
             ("n_species", Json.int (Crn.Network.n_species net));
             ("n_reactions", Json.int (Crn.Network.n_reactions net));
-            ("fingerprint", Json.str fingerprint);
-            ("cache_key", Json.str key);
+            ("fingerprint", Json.str (Crn.Equiv.fingerprint net));
+            ("cache_key", Json.str (Model_cache.key m.Engines.env net));
             ("canonical", Json.str (Crn.Network.to_string net));
             ("lint", Json.str (Crn.Validate.report net));
           ]

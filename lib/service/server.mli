@@ -86,7 +86,7 @@ val call :
     pipeline — the same handlers, knob checks, error mapping and
     envelope — and return its response envelope without serializing it.
     The network is compiled straight from the request (no model cache,
-    so no canonicalization); [ensemble] and [sweep] fan out over the
+    so no cache key); [ensemble] and [sweep] fan out over the
     process-wide domain pool; a [trace] op's header and chunk frames go
     to [on_frame]. A deadline-cancelled run's checkpoint is written to
     [checkpoint], which the [deadline_exceeded] error then names; a

@@ -2,8 +2,8 @@
 
    - model snapshots: a compiled-model cache entry — network, rate
      environment, CSR ODE system and SSA model — serialized so a
-     restarted daemon skips synthesis, canonicalization and both
-     compilers for every warm entry;
+     restarted daemon skips synthesis and both compilers for every warm
+     entry;
    - simulation checkpoints: a network plus run parameters plus one
      engine's loop-top mid-run state, self-contained so [crnsim
      --resume] (or a client retrying a deadline-cancelled request) can
@@ -17,7 +17,11 @@
    rely on a single exception to implement skip-and-count. *)
 
 let model_kind = "mrsc-model"
-let model_version = 1
+
+(* 2: the key is the network's binding digest, and the fingerprint
+   field is gone. Version-1 files carry the old key and the old layout;
+   the bump has the loader count them as version skew, not corruption. *)
+let model_version = 2
 let sim_kind = "mrsc-sim-checkpoint"
 let sim_version = 1
 
@@ -194,7 +198,6 @@ let r_ssa_model r =
 type model_snapshot = {
   ms_key : string;
   ms_sources : string array;
-  ms_fingerprint : string;
   ms_compile_ms : float;
   ms_net : Crn.Network.t;
   ms_env : Crn.Rates.env;
@@ -206,7 +209,6 @@ let encode_model ms =
   let b = Binio.writer () in
   Binio.w_string b ms.ms_key;
   Binio.w_array Binio.w_string b ms.ms_sources;
-  Binio.w_string b ms.ms_fingerprint;
   Binio.w_f64 b ms.ms_compile_ms;
   w_network b ms.ms_net;
   w_env b ms.ms_env;
@@ -230,23 +232,13 @@ let decode_model s =
   let r = Binio.reader f.Binio.payload in
   let ms_key = Binio.r_string r in
   let ms_sources = Binio.r_array Binio.r_string r in
-  let ms_fingerprint = Binio.r_string r in
   let ms_compile_ms = Binio.r_f64 r in
   let ms_net = r_network r in
   let ms_env = r_env r in
   let ms_sys = r_deriv r in
   let ms_ssa = r_ssa_model r in
   Binio.expect_end r;
-  {
-    ms_key;
-    ms_sources;
-    ms_fingerprint;
-    ms_compile_ms;
-    ms_net;
-    ms_env;
-    ms_sys;
-    ms_ssa;
-  }
+  { ms_key; ms_sources; ms_compile_ms; ms_net; ms_env; ms_sys; ms_ssa }
 
 let w_trace = Engines.w_trace
 let r_trace = Engines.r_trace

@@ -6,8 +6,8 @@
     - {b model snapshots} persist a compiled-model cache entry —
       network, rate environment, compiled CSR ODE system, compiled SSA
       model with its dependency graph — so a restarted daemon rebuilds
-      its warm set from disk without paying synthesis, canonicalization
-      or compilation again;
+      its warm set from disk without paying synthesis or compilation
+      again;
     - {b simulation checkpoints} persist one engine's loop-top mid-run
       state together with the network and run parameters, self-contained
       so [crnsim --resume] continues the trajectory bitwise.
@@ -31,7 +31,6 @@ type model_snapshot = {
       (** request-source digests that aliased to this entry, so a warm
           restart answers a repeated request as a genuine cache hit —
           skipping synthesis, not just compilation *)
-  ms_fingerprint : string;
   ms_compile_ms : float;  (** what the original cold compile cost *)
   ms_net : Crn.Network.t;
   ms_env : Crn.Rates.env;

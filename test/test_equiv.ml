@@ -124,6 +124,38 @@ let test_size_mismatch_fast_path () =
   let n2 = simple [ "A"; "B"; "C" ] [ ("A", "B") ] in
   Alcotest.(check bool) "species count differs" false (Equiv.isomorphic n1 n2)
 
+(* The cache key is the exact binding: it moves with a name, the last
+   bit of an initial amount or rate scale, or a label (the parse op
+   echoes labels), and it runs no colour refinement. *)
+let test_cache_key_binding () =
+  let mk ?(b = "B") ?(init = 3.) ?(scale = 1.) ?label () =
+    let net = Network.create () in
+    let sa = Network.species net "A" and sb = Network.species net b in
+    Network.set_init net sa init;
+    Network.add_reaction net
+      (Reaction.make ?label ~reactants:[ (sa, 1) ] ~products:[ (sb, 1) ]
+         (Rates.slow_scaled scale));
+    Network.add_reaction net
+      (Reaction.make ~reactants:[ (sb, 1) ] ~products:[] Rates.fast);
+    net
+  in
+  let rounds = Equiv.refinement_rounds () in
+  let base = Equiv.cache_key (mk ()) in
+  Alcotest.(check string) "same binding, same key" base
+    (Equiv.cache_key (mk ()));
+  List.iter
+    (fun (what, net) ->
+      Alcotest.(check bool) (what ^ " moves the key") true
+        (Equiv.cache_key net <> base))
+    [
+      ("a species name", mk ~b:"C" ());
+      ("an initial amount's last bit", mk ~init:(Float.succ 3.) ());
+      ("a rate scale's last bit", mk ~scale:(Float.succ 1.) ());
+      ("a label", mk ~label:"note" ());
+    ];
+  Alcotest.(check int) "no refinement rounds" rounds
+    (Equiv.refinement_rounds ())
+
 let qcheck_tests =
   let open QCheck in
   (* a random network, then a random species permutation of it: always
@@ -187,5 +219,6 @@ let suite =
     ("synthesis deterministic", `Quick, test_synthesis_deterministic);
     ("different designs", `Quick, test_different_designs_not_isomorphic);
     ("size mismatch", `Quick, test_size_mismatch_fast_path);
+    ("cache key is the exact binding", `Quick, test_cache_key_binding);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests

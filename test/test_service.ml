@@ -218,8 +218,11 @@ let test_model_cache () =
   Alcotest.(check string) "deduped onto the same compiled entry"
     e3.Service.Model_cache.key e3'.Service.Model_cache.key;
   (* and the index-order-invariant fingerprint survives the reparse *)
+  let fingerprint (e : Service.Model_cache.entry) =
+    Crn.Equiv.fingerprint e.Service.Model_cache.model.Service.Engines.net
+  in
   Alcotest.(check string) "fingerprint round-trips"
-    e2.Service.Model_cache.fingerprint e3.Service.Model_cache.fingerprint;
+    (fingerprint e2) (fingerprint e3);
   (* capacity 2: loading two more designs evicts the LRU *)
   let load name =
     ignore
@@ -518,6 +521,149 @@ let test_cache_hit_speedup () =
         Alcotest.failf "expected >=5x cache speedup, got %.2fms -> %.2fms"
           cold_ms !warm_ms)
 
+(* Two texts whose rate scales differ past the 12th significant digit
+   are two networks: distinct keys, distinct entries, and each served
+   from its own compiled model, so the cached final is bitwise the
+   uncached in-process one. 1.5 vs 1.5000001 print the same text, so a
+   key that hashed the printed network would merge them too. *)
+let test_rate_scale_keys () =
+  let text scale =
+    Printf.sprintf "init X 100\nX ->{slow*%s} Y\nY ->{fast} 0\n" scale
+  in
+  let pairs =
+    [ ("1.0000000000001", "1.0000000000002"); ("1.5", "1.5000001") ]
+  in
+  let parse = Crn.Parser.network_of_string in
+  Alcotest.(check string) "1.5 and 1.5000001 print alike"
+    (Crn.Network.to_string (parse (text "1.5")))
+    (Crn.Network.to_string (parse (text "1.5000001")));
+  let env = Crn.Rates.default_env in
+  let cache = Service.Model_cache.create () in
+  let load t =
+    fst
+      (Service.Model_cache.find_or_compile cache
+         ~source_key:(Service.Model_cache.source_key ~spec:("text:" ^ t) ~env)
+         ~env
+         ~build:(fun () -> parse t))
+  in
+  List.iter
+    (fun (a, b) ->
+      let ta = text a and tb = text b in
+      Alcotest.(check bool)
+        (a ^ " vs " ^ b ^ ": distinct cache_key")
+        true
+        (Crn.Equiv.cache_key (parse ta) <> Crn.Equiv.cache_key (parse tb));
+      let ea = load ta and eb = load tb in
+      Alcotest.(check bool)
+        (a ^ " vs " ^ b ^ ": distinct entries")
+        true
+        (ea.Service.Model_cache.key <> eb.Service.Model_cache.key
+        && ea.Service.Model_cache.model != eb.Service.Model_cache.model))
+    pairs;
+  let bits xs = Array.map Int64.bits_of_float xs in
+  with_server (fun client ->
+      List.iter
+        (fun (a, b) ->
+          List.iter
+            (fun t ->
+              let req =
+                obj
+                  [
+                    ("op", J.str "ode");
+                    ("network", obj [ ("text", J.str t) ]);
+                    ("t1", J.num 1.);
+                  ]
+              in
+              let final resp = floats (field (ok_result t resp) "final") in
+              let served = final (Service.Client.request client req) in
+              let direct =
+                final
+                  (Service.Client.response_of_json (Service.Server.call req))
+              in
+              Alcotest.(check (array int64))
+                (t ^ ": cached final is the uncached one, bit for bit")
+                (bits direct) (bits served))
+            [ text a; text b ])
+        pairs)
+
+(* A cold miss runs no colour refinement: the key is one pass over the
+   network. Only the parse op refines, to answer its fingerprint. *)
+let test_miss_runs_no_refinement () =
+  let env = Crn.Rates.default_env in
+  let rounds f =
+    let r0 = Crn.Equiv.refinement_rounds () in
+    let x = f () in
+    (x, Crn.Equiv.refinement_rounds () - r0)
+  in
+  let ma4 = Designs.Catalog.build "ma4" in
+  let _, r = rounds (fun () -> Crn.Equiv.cache_key ma4) in
+  Alcotest.(check int) "cache_key: no rounds" 0 r;
+  let cache = Service.Model_cache.create () in
+  let miss spec build =
+    rounds (fun () ->
+        Service.Model_cache.find_or_compile cache
+          ~source_key:(Service.Model_cache.source_key ~spec ~env)
+          ~env ~build)
+  in
+  let (entry, o), r =
+    miss "catalog:ma4" (fun () -> Designs.Catalog.build "ma4")
+  in
+  Alcotest.(check bool) "catalog source misses" true (o = `Miss);
+  Alcotest.(check int) "catalog miss: no rounds" 0 r;
+  let text = Crn.Network.to_string ma4 in
+  let (_, o), r =
+    miss ("text:" ^ text) (fun () -> Crn.Parser.network_of_string text)
+  in
+  Alcotest.(check bool) "text source misses" true (o = `Miss);
+  Alcotest.(check int) "text miss: no rounds" 0 r;
+  with_server (fun client ->
+      let resp, r =
+        rounds (fun () ->
+            Service.Client.request client
+              (obj
+                 [
+                   ("op", J.str "parse");
+                   ("network", obj [ ("catalog", J.str "ma4") ]);
+                 ]))
+      in
+      Alcotest.(check bool) "parse refines on demand" true (r >= 1);
+      let result = ok_result "parse" resp in
+      let str key = Option.get (J.to_str (field result key)) in
+      let net = entry.Service.Model_cache.model.Service.Engines.net in
+      Alcotest.(check string) "parse answers the fingerprint"
+        (Crn.Equiv.fingerprint net) (str "fingerprint");
+      Alcotest.(check string) "parse answers the entry's key"
+        entry.Service.Model_cache.key (str "cache_key"))
+
+(* A new source that builds an already-cached network reports what it
+   paid, not the compile that made the entry: a build that sleeps 30 ms
+   puts a lower bound on it. *)
+let test_dedupe_reports_own_cost () =
+  let env = Crn.Rates.default_env in
+  let cache = Service.Model_cache.create () in
+  let find spec build =
+    Service.Model_cache.find_or_compile cache
+      ~source_key:(Service.Model_cache.source_key ~spec ~env)
+      ~env ~build
+  in
+  let build () = Designs.Catalog.build "clock3" in
+  let first, _ = find "catalog:clock3" build in
+  let twin, o =
+    find "slow twin" (fun () ->
+        Unix.sleepf 0.03;
+        build ())
+  in
+  Alcotest.(check bool) "twin misses" true (o = `Miss);
+  Alcotest.(check string) "twin dedupes" first.Service.Model_cache.key
+    twin.Service.Model_cache.key;
+  if not (twin.Service.Model_cache.compile_ms >= 30.) then
+    Alcotest.failf "deduplicated miss reports %.3f ms, paid at least 30"
+      twin.Service.Model_cache.compile_ms;
+  let again, o = find "catalog:clock3" build in
+  Alcotest.(check bool) "first source hits" true (o = `Hit);
+  Alcotest.(check (float 0.)) "entry keeps its own compile cost"
+    first.Service.Model_cache.compile_ms again.Service.Model_cache.compile_ms
+
 let test_deadline_and_worker_survival () =
   with_server (fun client ->
       (* impossible horizon, tight deadline: the run must die with the
@@ -687,6 +833,11 @@ let suite =
     Alcotest.test_case "hybrid/tau ops + work stats" `Quick
       test_hybrid_and_tau_ops;
     Alcotest.test_case "cache hit >=5x faster" `Quick test_cache_hit_speedup;
+    Alcotest.test_case "rate scales key apart" `Quick test_rate_scale_keys;
+    Alcotest.test_case "miss runs no refinement" `Quick
+      test_miss_runs_no_refinement;
+    Alcotest.test_case "deduped miss reports own cost" `Quick
+      test_dedupe_reports_own_cost;
     Alcotest.test_case "deadline, worker survives" `Quick
       test_deadline_and_worker_survival;
     Alcotest.test_case "overloaded on full queue" `Quick test_overloaded;

@@ -60,7 +60,6 @@ let test_model_roundtrip () =
         {
           S.ms_key = "k";
           ms_sources = [| "s1"; "s2" |];
-          ms_fingerprint = Crn.Equiv.fingerprint net;
           ms_compile_ms = 12.5;
           ms_net = net;
           ms_env = env;
@@ -74,7 +73,9 @@ let test_model_roundtrip () =
       Alcotest.(check (array string))
         "sources" ms.S.ms_sources ms'.S.ms_sources;
       Alcotest.(check string)
-        "fingerprint" ms.S.ms_fingerprint ms'.S.ms_fingerprint;
+        "fingerprint"
+        (Crn.Equiv.fingerprint ms.S.ms_net)
+        (Crn.Equiv.fingerprint ms'.S.ms_net);
       Alcotest.(check string)
         "network text"
         (Crn.Network.to_string ms.S.ms_net)
@@ -156,7 +157,6 @@ let test_torn_writes () =
     {
       S.ms_key = "k";
       ms_sources = [||];
-      ms_fingerprint = "f";
       ms_compile_ms = 0.;
       ms_net = net;
       ms_env = env_1000;
@@ -266,7 +266,8 @@ let test_warm_load_skips_corrupt () =
   ignore (compile_ratio cache 100.);
   ignore (Service.Model_cache.save_to cache dir);
   (* corrupt one snapshot in place, add one torn file, one future-version
-     file and one file of garbage *)
+     file, one version-1 file (the previous format revision) and one
+     file of garbage *)
   let files = Sys.readdir dir in
   Array.sort compare files;
   let victim = Filename.concat dir files.(0) in
@@ -283,6 +284,10 @@ let test_warm_load_skips_corrupt () =
   Out_channel.with_open_bin (Filename.concat dir "future.model") (fun oc ->
       Out_channel.output_string oc
         (B.encode_file ~kind:S.model_kind ~version:(S.model_version + 7) "x"));
+  Out_channel.with_open_bin (Filename.concat dir "v1.model") (fun oc ->
+      Out_channel.output_string oc
+        (B.encode_file ~kind:S.model_kind ~version:1
+           (B.decode_file data).B.payload));
   Out_channel.with_open_bin (Filename.concat dir "noise.model") (fun oc ->
       Out_channel.output_string oc "not a snapshot at all");
   let warm = Service.Model_cache.create ~capacity:8 () in
@@ -291,14 +296,14 @@ let test_warm_load_skips_corrupt () =
     report.Service.Model_cache.loaded;
   Alcotest.(check int) "corrupt counted" 3
     report.Service.Model_cache.skipped_corrupt;
-  Alcotest.(check int) "version counted" 1
+  Alcotest.(check int) "version counted" 2
     report.Service.Model_cache.skipped_version;
   let loaded, corrupt, version, _writes =
     Service.Model_cache.warm_counters warm
   in
   Alcotest.(check int) "counter: loaded" 1 loaded;
   Alcotest.(check int) "counter: corrupt" 3 corrupt;
-  Alcotest.(check int) "counter: version" 1 version
+  Alcotest.(check int) "counter: version" 2 version
 
 (* a snapshot whose stored key disagrees with its decoded network is
    stale (someone else's file, an edited file): recompute-and-compare
