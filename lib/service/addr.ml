@@ -67,7 +67,7 @@ let domain = function
   | Tcp _ | Http _ -> Unix.PF_INET
 
 let connect addr =
-  let fd = Unix.socket (domain addr) Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true (domain addr) Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (sockaddr addr)
    with e ->
      Unix.close fd;
@@ -87,7 +87,7 @@ let listen ?(backlog = 64) addr =
       | _ -> ()
       | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
   | Tcp _ | Http _ -> ());
-  let fd = Unix.socket (domain addr) Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true (domain addr) Unix.SOCK_STREAM 0 in
   (try
      (match addr with
      | Tcp _ | Http _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true

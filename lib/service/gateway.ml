@@ -12,8 +12,9 @@
    protocol, relaying response frames byte-for-byte — which is what
    keeps gateway responses byte-identical to direct daemon responses.
 
-   Concurrency model: a single select loop multiplexes client
-   connections and in-flight shard exchanges; no worker pool — the
+   Concurrency model: the connection core ({!Conn_loop}) multiplexes
+   client connections and, through its watch hook, in-flight shard
+   exchanges on one select loop; no worker pool — the
    gateway only routes, relays and synthesizes routing keys (memoized).
    Each in-flight request owns a dedicated shard connection (the wire
    protocol carries no request ids, so pairing is by connection), drawn
@@ -87,23 +88,11 @@ type shard = {
   mutable failed : int;
 }
 
-type frontend = Fwire of Wire.decoder | Fhttp of Http.reader
-
-type cconn = {
-  cfd : Unix.file_descr;
-  front : frontend;
-  mutable eof : bool;  (* peer finished sending; drain replies, then close *)
-  mutable cclosed : bool;
-  mutable cin_flight : int;
-  cid : int;
-}
-
 type exchange = {
   x_shard : shard;
   xfd : Unix.file_descr;
   xdec : Wire.decoder;
-  x_client : cconn;
-  x_http : bool;
+  x_client : Conn_loop.conn;
   x_stream : bool;
   x_op : string;
   mutable http_started : bool;  (* chunked response head written *)
@@ -117,11 +106,11 @@ type t = {
   rng : Numeric.Rng.t;
   memo : (string, string) Hashtbl.t;
   memo_order : string Queue.t;  (* FIFO eviction; capacity route_memo *)
-  mutable conns : cconn list;
   mutable exchanges : exchange list;
-  mutable next_cid : int;
   started_at : float;
-  (* gateway-level counters, surfaced by stats and /metrics *)
+  (* gateway-level counters, surfaced by stats and /metrics; the
+     connection fault classes are counted by the core in conn_metrics *)
+  conn_metrics : Metrics.t;
   by_op : (string, int) Hashtbl.t;
   mutable requests : int;
   mutable wire_requests : int;
@@ -136,105 +125,19 @@ let logf gw fmt =
   if gw.cfg.log then Printf.eprintf ("crnsgate: " ^^ fmt ^^ "\n%!")
   else Printf.ifprintf stderr fmt
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd s !written (n - !written)
-  done
-
 (* ------------------------------------------------------- client replies *)
 
-let close_client gw c =
-  if not c.cclosed then begin
-    c.cclosed <- true;
-    (try Unix.close c.cfd with _ -> ());
-    logf gw "conn %d: closed" c.cid
-  end
-
-let send_wire gw c payload =
-  if not c.cclosed then
-    try Wire.write_frame c.cfd payload
-    with Unix.Unix_error _ | Wire.Framing_error _ -> close_client gw c
-
-let send_raw gw c s =
-  if not c.cclosed then
-    try write_all c.cfd s with Unix.Unix_error _ -> close_client gw c
-
-let status_of_code = function
-  | "bad_request" | "parse_error" | "unknown_design" | "not_compilable" -> 400
-  | "max_events_exceeded" | "max_steps_exceeded" | "solver_failure"
-  | "validation_failed" ->
-      422
-  | "deadline_exceeded" -> 504
-  | "overloaded" | "connection_limit" | "shard_failed" -> 503
-  | _ -> 500
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let status_of_payload payload =
-  if
-    starts_with ~prefix:"{\"ok\":true" payload
-    || starts_with ~prefix:"{\"done\":true,\"ok\":true" payload
-  then 200
-  else
-    match
-      Option.bind (Json.member "error" (Json.of_string payload)) (fun e ->
-          Option.bind (Json.member "code" e) Json.to_str)
-    with
-    | Some code -> status_of_code code
-    | None | (exception _) -> 500
-
-let http_json gw c ~status payload =
-  send_raw gw c (Http.response ~status ~content_type:"application/json" payload)
-
-(* a locally produced response envelope, shaped exactly like the
-   daemon's ([done_] marks the final frame of a refused stream) *)
+(* a locally produced response in the daemon's own envelope ([done_]
+   marks the final frame of a refused stream) *)
 let local_envelope ?(done_ = false) ~arrival ~op outcome =
-  let metrics =
-    Metrics.request_json
-      {
-        Metrics.queue_wait_ms = 0.;
-        cache = Metrics.Not_applicable;
-        compile_ms = 0.;
-        run_ms = 0.;
-        total_ms = (Unix.gettimeofday () -. arrival) *. 1000.;
-        extra = [];
-      }
-  in
-  let fields =
-    match outcome with
-    | Ok result ->
-        [
-          ("ok", Json.Bool true);
-          ("op", Json.str op);
-          ("result", result);
-          ("metrics", metrics);
-        ]
-    | Error err ->
-        [
-          ("ok", Json.Bool false);
-          ("op", Json.str op);
-          ("error", Error.to_json err);
-          ("metrics", metrics);
-        ]
-  in
+  let metrics = Conn_loop.quick_metrics ~arrival () in
   Json.to_string
-    (Json.Obj (if done_ then ("done", Json.Bool true) :: fields else fields))
+    (match outcome with
+    | Ok result -> Conn_loop.response_ok ~done_ ~op ~result ~metrics ()
+    | Error error -> Conn_loop.response_error ~done_ ~op ~error ~metrics ())
 
-let reply_local gw c ~http ?(done_ = false) ~arrival ~op outcome =
-  let payload = local_envelope ~done_ ~arrival ~op outcome in
-  if http then
-    let status =
-      match outcome with Ok _ -> 200 | Error e -> status_of_code (Error.code e)
-    in
-    http_json gw c ~status payload
-  else send_wire gw c payload
+let reply_local c ?done_ ~arrival ~op outcome =
+  Conn_loop.reply c (local_envelope ?done_ ~arrival ~op outcome)
 
 (* --------------------------------------------------------- shard conns *)
 
@@ -282,8 +185,8 @@ let checkin s fd = s.idle <- fd :: s.idle
 
 (* ---------------------------------------------------------- routing key *)
 
-(* Reimplements the daemon's request decoding just far enough to name
-   the compiled model a request will use: build the network (catalog
+(* Runs the daemon's own request decoding just far enough to name the
+   compiled model a request will use: build the network (catalog
    synthesis or a parse of the inline text) and digest its binding
    ({!Crn.Equiv.cache_key}, one pass, no colour refinement). Both run on
    the event loop, once per distinct source: the memo keeps the event
@@ -301,35 +204,17 @@ let memo_put gw key value =
   Hashtbl.replace gw.memo key value;
   Queue.add key gw.memo_order
 
-let spec_of req =
-  match Json.member "network" req with
-  | None -> None
-  | Some n -> (
-      let gets k = Option.bind (Json.member k n) Json.to_str in
-      match (gets "catalog", gets "text") with
-      | Some name, None -> Some ("catalog:" ^ name, `Catalog name)
-      | None, Some text -> Some ("text:" ^ text, `Text text)
-      | _ -> None)
-
-let build_spec = function
-  | `Catalog name -> (
-      match Designs.Catalog.find name with
-      | Some entry -> Some (entry.Designs.Catalog.build ())
-      | None -> None)
-  | `Text text -> (
-      try Some (Crn.Parser.network_of_string text) with _ -> None)
-
 let env_tag req =
   match Option.bind (Json.member "ratio" req) Json.to_float with
   | Some r -> Printf.sprintf "%.17g" r
   | None -> "default"
 
 let routing_key gw ~payload req =
-  match spec_of req with
-  | None ->
+  match Server.network_source req with
+  | exception Error.Rejected _ ->
       (* unroutable-by-model requests still route deterministically *)
       "payload:" ^ payload
-  | Some (spec_str, spec) ->
+  | spec_str, build ->
       (* the memo maps the source alone to its binding digest — the
          rate environment only scales rates, so the same network at a
          new ratio reuses the memoized build and only the routing tag
@@ -342,9 +227,9 @@ let routing_key gw ~payload req =
         | None ->
             gw.memo_misses <- gw.memo_misses + 1;
             let key =
-              match build_spec spec with
-              | Some net -> Crn.Equiv.cache_key net
-              | None -> "unbuildable:" ^ spec_str
+              match build () with
+              | net -> Crn.Equiv.cache_key net
+              | exception _ -> "unbuildable:" ^ spec_str
             in
             memo_put gw spec_str key;
             key
@@ -366,55 +251,46 @@ let shard_order gw ~key =
 
 (* ----------------------------------------------------------- exchanges *)
 
+(* the exchange's last frame to its client (mid-stream, a done frame
+   that terminates the chunked body) *)
+let end_exchange x final =
+  x.x_done <- true;
+  let c = x.x_client in
+  if x.http_started then
+    Conn_loop.send_raw c (Http.chunk final ^ Http.last_chunk)
+  else Conn_loop.reply c final;
+  x.x_shard.inflight <- x.x_shard.inflight - 1;
+  Conn_loop.release c
+
 let fail_exchange gw x =
   if not x.x_done then begin
-    x.x_done <- true;
-    let c = x.x_client in
-    let err = Error.Shard_failed { shard = x.x_shard.sid } in
-    let payload =
-      local_envelope ~done_:x.x_stream ~arrival:(Unix.gettimeofday ())
-        ~op:x.x_op (Error err)
-    in
-    if x.x_http then begin
-      if x.http_started then
-        (* mid-stream: terminate the chunked body with a done frame *)
-        send_raw gw c (Http.chunk payload ^ Http.last_chunk)
-      else http_json gw c ~status:503 payload
-    end
-    else send_wire gw c payload;
+    end_exchange x
+      (local_envelope ~done_:x.x_stream ~arrival:(Unix.gettimeofday ())
+         ~op:x.x_op
+         (Error (Error.Shard_failed { shard = x.x_shard.sid })));
     (try Unix.close x.xfd with _ -> ());
-    x.x_shard.inflight <- x.x_shard.inflight - 1;
     x.x_shard.failed <- x.x_shard.failed + 1;
-    c.cin_flight <- c.cin_flight - 1;
     note_shard_trouble gw x.x_shard
   end
 
-let finish_exchange gw x ~final =
-  x.x_done <- true;
-  let c = x.x_client in
-  (if x.x_http then
-     if x.http_started then
-       send_raw gw c (Http.chunk final ^ Http.last_chunk)
-     else http_json gw c ~status:(status_of_payload final) final
-   else send_wire gw c final);
+let finish_exchange x ~final =
+  end_exchange x final;
   (* the shard connection is reusable only if the response stream ended
      exactly on a frame boundary *)
   if Wire.buffered x.xdec = 0 then checkin x.x_shard x.xfd
-  else (try Unix.close x.xfd with _ -> ());
-  x.x_shard.inflight <- x.x_shard.inflight - 1;
-  c.cin_flight <- c.cin_flight - 1
+  else try Unix.close x.xfd with _ -> ()
 
-let relay_frame gw x payload =
+let relay_frame x payload =
   let c = x.x_client in
-  if x.x_http then begin
+  if Conn_loop.http c then begin
     if not x.http_started then begin
       x.http_started <- true;
-      send_raw gw c
+      Conn_loop.send_raw c
         (Http.chunked_head ~status:200 ~content_type:"application/json" ())
     end;
-    send_raw gw c (Http.chunk payload)
+    Conn_loop.send_raw c (Http.chunk payload)
   end
-  else send_wire gw c payload
+  else Conn_loop.send_frame c payload
 
 let read_exchange gw buf x =
   match Unix.read x.xfd buf 0 (Bytes.length buf) with
@@ -427,12 +303,14 @@ let read_exchange gw buf x =
             match Wire.next_frame x.xdec with
             | None -> ()
             | Some payload ->
-                if x.x_stream && not (starts_with ~prefix:"{\"done\":" payload)
+                if
+                  x.x_stream
+                  && not (String.starts_with ~prefix:"{\"done\":" payload)
                 then begin
-                  relay_frame gw x payload;
+                  relay_frame x payload;
                   drain ()
                 end
-                else finish_exchange gw x ~final:payload
+                else finish_exchange x ~final:payload
         in
         drain ()
       with Wire.Framing_error _ | Wire.Oversized_frame _ ->
@@ -442,8 +320,14 @@ let read_exchange gw buf x =
 
 (* route, admit, and forward one compute request; replies locally when
    the fleet refuses or cannot take it *)
-let forward gw c ~http ~arrival ~op ~stream ~payload req =
+let forward gw c ~arrival ~op ~stream ~payload req =
   let key = routing_key gw ~payload req in
+  (* structured and retryable, the shard not marked down *)
+  let overloaded () =
+    gw.overloaded <- gw.overloaded + 1;
+    reply_local c ~done_:stream ~arrival ~op
+      (Error (Error.Overloaded { queue_bound = gw.cfg.max_inflight }))
+  in
   let rec go = function
     | [] ->
         (* every shard connect failed: transient fleet-wide trouble *)
@@ -451,34 +335,34 @@ let forward gw c ~http ~arrival ~op ~stream ~payload req =
           match shard_order gw ~key with s :: _ -> s | [] -> -1
         in
         gw.shard_failures <- gw.shard_failures + 1;
-        reply_local gw c ~http ~done_:stream ~arrival ~op
+        reply_local c ~done_:stream ~arrival ~op
           (Error (Error.Shard_failed { shard = preferred }))
     | sid :: rest -> (
         let s = gw.shards.(sid) in
-        if s.inflight >= gw.cfg.max_inflight then begin
+        if s.inflight >= gw.cfg.max_inflight then
           (* admission control on the owner (no spill: spilling would
              re-compile the hot model on a neighbour, the exact cost the
-             ring exists to avoid); structured and retryable *)
-          gw.overloaded <- gw.overloaded + 1;
-          reply_local gw c ~http ~done_:stream ~arrival ~op
-            (Error (Error.Overloaded { queue_bound = gw.cfg.max_inflight }))
-        end
+             ring exists to avoid) *)
+          overloaded ()
         else
           match checkout gw s with
           | None -> go rest
+          | Some fd when not (Conn_loop.selectable fd) ->
+              (* an exchange the loop could not watch *)
+              (try Unix.close fd with _ -> ());
+              overloaded ()
           | Some fd -> (
               match Wire.write_frame fd payload with
               | () ->
                   s.inflight <- s.inflight + 1;
                   s.routed <- s.routed + 1;
-                  c.cin_flight <- c.cin_flight + 1;
+                  Conn_loop.hold c;
                   gw.exchanges <-
                     {
                       x_shard = s;
                       xfd = fd;
                       xdec = Wire.decoder ~max_frame:gw.cfg.max_frame ();
                       x_client = c;
-                      x_http = http;
                       x_stream = stream;
                       x_op = op;
                       http_started = false;
@@ -533,19 +417,14 @@ let shard_json gw s =
       ("max_inflight", Json.int gw.cfg.max_inflight);
     ]
 
-let table_json tbl =
-  Json.Obj
-    (Hashtbl.fold (fun k v acc -> (k, Json.int v) :: acc) tbl []
-    |> List.sort compare)
-
 let gateway_json gw =
   Json.Obj
-    [
+    ([
       ("uptime_s", Json.num (Unix.gettimeofday () -. gw.started_at));
       ("requests", Json.int gw.requests);
       ("wire_requests", Json.int gw.wire_requests);
       ("http_requests", Json.int gw.http_requests);
-      ("by_op", table_json gw.by_op);
+      ("by_op", Metrics.table_json gw.by_op);
       ("overloaded", Json.int gw.overloaded);
       ("shard_failures", Json.int gw.shard_failures);
       ("route_memo_hits", Json.int gw.memo_hits);
@@ -555,6 +434,9 @@ let gateway_json gw =
       ( "shards",
         Json.List (Array.to_list (Array.map (shard_json gw) gw.shards)) );
     ]
+    @ List.map
+        (fun (k, n) -> (k, Json.int n))
+        (Metrics.conn_counters gw.conn_metrics))
 
 let stats_req = Json.Obj [ ("op", Json.str "stats") ]
 
@@ -657,6 +539,11 @@ let prometheus gw =
   line "# TYPE mrsc_gateway_route_memo_hits_total counter";
   line "mrsc_gateway_route_memo_hits_total %d" gw.memo_hits;
   line "mrsc_gateway_route_memo_misses_total %d" gw.memo_misses;
+  List.iter
+    (fun (k, n) ->
+      line "# TYPE mrsc_gateway_%s counter" k;
+      line "mrsc_gateway_%s %d" k n)
+    (Metrics.conn_counters gw.conn_metrics);
   let shard_stats = collect_shard_stats gw in
   List.iter
     (fun ((s : shard), st) ->
@@ -698,121 +585,52 @@ let prometheus gw =
 
 let health gw =
   let up = Array.fold_left (fun n s -> if s.up then n + 1 else n) 0 gw.shards in
-  let total = Array.length gw.shards in
-  let body =
-    Json.to_string
-      (Json.Obj
-         [
-           ("status", Json.str (if up > 0 then "ok" else "degraded"));
-           ("shards", Json.int total);
-           ("up", Json.int up);
-           ("protocol", Json.int Server.protocol_version);
-         ])
-  in
-  ((if up > 0 then 200 else 503), body)
+  Http.response
+    ~status:(if up > 0 then 200 else 503)
+    ~content_type:"application/json"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("status", Json.str (if up > 0 then "ok" else "degraded"));
+            ("shards", Json.int (Array.length gw.shards));
+            ("up", Json.int up);
+            ("protocol", Json.int Server.protocol_version);
+          ]))
 
 (* ------------------------------------------------------------ requests *)
 
-let handle_request gw c ~http payload =
+let handle_request gw c payload =
   let arrival = Unix.gettimeofday () in
   gw.requests <- gw.requests + 1;
-  if http then gw.http_requests <- gw.http_requests + 1
+  if Conn_loop.http c then gw.http_requests <- gw.http_requests + 1
   else gw.wire_requests <- gw.wire_requests + 1;
-  match Json.of_string payload with
-  | exception Json.Parse_error msg ->
-      reply_local gw c ~http ~arrival ~op:"?"
-        (Error (Error.Bad_request ("bad JSON: " ^ msg)))
-  | req -> (
-      let op =
-        Option.value ~default:""
-          (Option.bind (Json.member "op" req) Json.to_str)
-      in
-      bump gw.by_op (if op = "" then "?" else op);
+  match Server.parse_request payload with
+  | Error err ->
+      Metrics.bump gw.by_op "?";
+      reply_local c ~arrival ~op:"?" (Error err)
+  | Ok (req, op) -> (
+      Metrics.bump gw.by_op op;
       match op with
-      | "" ->
-          reply_local gw c ~http ~arrival ~op:"?"
-            (Error (Error.Bad_request "missing \"op\""))
       | "ping" ->
-          (* same result bytes as a daemon's ping: transport-transparent *)
-          reply_local gw c ~http ~arrival ~op:"ping"
-            (Ok (Json.Obj [ ("protocol", Json.int Server.protocol_version) ]))
-      | "stats" ->
-          reply_local gw c ~http ~arrival ~op:"stats" (Ok (handle_stats gw))
-      | op ->
-          forward gw c ~http ~arrival ~op ~stream:(op = "trace") ~payload req)
+          Conn_loop.reply c (Json.to_string (Server.ping ~arrival))
+      | "stats" -> reply_local c ~arrival ~op:"stats" (Ok (handle_stats gw))
+      | op -> forward gw c ~arrival ~op ~stream:(op = "trace") ~payload req)
 
-(* one HTTP request at a time per connection: keep-alive responses must
-   come back in request order, and exchanges complete out of order —
-   so the next buffered request is parsed only once the previous
-   response went out (drained again from the completion path) *)
-let drain_http gw c reader =
-  try
-    let continue = ref true in
-    while (not c.cclosed) && c.cin_flight = 0 && !continue do
-      match Http.next_request reader with
-      | None -> continue := false
-      | Some r -> (
-          match (r.Http.meth, r.Http.path) with
-          | "POST", ("/api" | "/") -> handle_request gw c ~http:true r.Http.body
-          | "GET", "/health" ->
-              let status, body = health gw in
-              send_raw gw c
-                (Http.response ~status ~content_type:"application/json" body)
-          | "GET", "/metrics" ->
-              send_raw gw c
-                (Http.response ~status:200
-                   ~content_type:"text/plain; version=0.0.4" (prometheus gw))
-          | meth, path ->
-              send_raw gw c
-                (Http.response ~status:404 ~content_type:"application/json"
-                   (Json.to_string
-                      (Json.Obj
-                         [
-                           ("ok", Json.Bool false);
-                           ( "error",
-                             Error.to_json
-                               (Error.Bad_request
-                                  (Printf.sprintf "no route for %s %s" meth
-                                     path)) );
-                         ]))))
-    done
-  with Http.Bad_request msg ->
-    send_raw gw c
-      (Http.response ~status:400 ~content_type:"application/json"
-         (Json.to_string
-            (Json.Obj
-               [
-                 ("ok", Json.Bool false);
-                 ("error", Error.to_json (Error.Bad_request msg));
-               ])));
-    c.eof <- true
-
-let read_client gw buf c =
-  match Unix.read c.cfd buf 0 (Bytes.length buf) with
-  | 0 -> c.eof <- true
-  | n -> (
-      match c.front with
-      | Fwire dec -> (
-          Wire.feed dec buf n;
-          try
-            let rec drain () =
-              match Wire.next_frame dec with
-              | Some payload ->
-                  handle_request gw c ~http:false payload;
-                  drain ()
-              | None -> ()
-            in
-            drain ()
-          with Wire.Framing_error _ | Wire.Oversized_frame _ ->
-            send_wire gw c
-              (local_envelope ~arrival:(Unix.gettimeofday ()) ~op:"?"
-                 (Error (Error.Bad_request "framing error")));
-            c.eof <- true)
-      | Fhttp reader ->
-          Http.feed reader buf n;
-          drain_http gw c reader)
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error _ -> c.eof <- true
+let http_request gw c (r : Http.request) =
+  match (r.Http.meth, r.Http.path) with
+  | "POST", ("/api" | "/") -> handle_request gw c r.Http.body
+  | "GET", "/health" -> Conn_loop.send_raw c (health gw)
+  | "GET", "/metrics" ->
+      Conn_loop.send_raw c
+        (Http.response ~status:200 ~content_type:"text/plain; version=0.0.4"
+           (prometheus gw))
+  | meth, path ->
+      Conn_loop.send_raw c
+        (Http.response ~status:404 ~content_type:"application/json"
+           (local_envelope ~arrival:(Unix.gettimeofday ()) ~op:"?"
+              (Error
+                 (Error.Bad_request
+                    (Printf.sprintf "no route for %s %s" meth path)))))
 
 (* ------------------------------------------------------ shard lifecycle *)
 
@@ -986,7 +804,7 @@ let make_shards cfg =
          })
        addrs)
 
-let run ?(stop = fun () -> false) cfg =
+let run ?stop cfg =
   if cfg.wire = None && cfg.http = None then
     invalid_arg "Gateway.run: no listener configured";
   let shards = make_shards cfg in
@@ -1001,10 +819,9 @@ let run ?(stop = fun () -> false) cfg =
       rng = Numeric.Rng.create cfg.seed;
       memo = Hashtbl.create 256;
       memo_order = Queue.create ();
-      conns = [];
       exchanges = [];
-      next_cid = 0;
       started_at = Unix.gettimeofday ();
+      conn_metrics = Metrics.create ();
       by_op = Hashtbl.create 16;
       requests = 0;
       wire_requests = 0;
@@ -1016,117 +833,33 @@ let run ?(stop = fun () -> false) cfg =
     }
   in
   Array.iter (fun s -> spawn_shard gw s) gw.shards;
-  wait_for_shards gw;
-  let listeners =
-    List.filter_map
-      (fun (addr, http) ->
-        match addr with
-        | None -> None
-        | Some a -> Some (Addr.listen a, a, http))
-      [ (cfg.wire, false); (cfg.http, true) ]
-  in
-  logf gw "listening (%d shards, affinity %b)" (Array.length gw.shards)
-    cfg.affinity;
-  let buf = Bytes.create 65536 in
-  let accept (lfd, _addr, http) =
-    match Unix.accept lfd with
-    | fd, _ ->
-        if List.length gw.conns >= cfg.max_conns then (
-          try Unix.close fd with _ -> ())
-        else begin
-          gw.next_cid <- gw.next_cid + 1;
-          (* a stalled client must not wedge the single-threaded relay *)
-          (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10. with _ -> ());
-          let front =
-            if http then Fhttp (Http.reader ~max_body:cfg.max_frame ())
-            else Fwire (Wire.decoder ~max_frame:cfg.max_frame ())
-          in
-          gw.conns <-
-            {
-              cfd = fd;
-              front;
-              eof = false;
-              cclosed = false;
-              cin_flight = 0;
-              cid = gw.next_cid;
-            }
-            :: gw.conns
-        end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-  in
-  let reap () =
-    gw.exchanges <- List.filter (fun x -> not x.x_done) gw.exchanges;
-    gw.conns <-
-      List.filter
-        (fun c ->
-          if c.cclosed then false
-          else if c.eof && c.cin_flight = 0 then begin
-            close_client gw c;
-            false
-          end
-          else begin
-            (* an HTTP conn may hold a fully buffered next request that
-               was deferred while a response was in flight *)
-            (match c.front with
-            | Fhttp reader when c.cin_flight = 0 && Http.buffered reader > 0
-              ->
-                drain_http gw c reader
-            | _ -> ());
-            not c.cclosed
-          end)
-        gw.conns
-  in
-  (try
-     while not (stop ()) do
-       let watch =
-         List.map (fun (lfd, _, _) -> lfd) listeners
-         @ List.filter_map
-             (fun c ->
-               if c.cclosed || c.eof then None else Some c.cfd)
-             gw.conns
-         @ List.filter_map
-             (fun x -> if x.x_done then None else Some x.xfd)
-             gw.exchanges
-       in
-       (match Unix.select watch [] [] 0.25 with
-       | readable, _, _ ->
-           List.iter
-             (fun fd ->
-               match
-                 List.find_opt (fun (lfd, _, _) -> lfd = fd) listeners
-               with
-               | Some l -> accept l
-               | None -> (
-                   match
-                     List.find_opt
-                       (fun x -> x.xfd = fd && not x.x_done)
-                       gw.exchanges
-                   with
-                   | Some x -> read_exchange gw buf x
-                   | None -> (
-                       match
-                         List.find_opt
-                           (fun c -> c.cfd = fd && not c.cclosed)
-                           gw.conns
-                       with
-                       | Some c -> read_client gw buf c
-                       | None -> ())))
-             readable
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-       tick gw;
-       reap ()
-     done
-   with e ->
-     List.iter (fun (lfd, a, _) -> (try Unix.close lfd with _ -> ()); Addr.cleanup a) listeners;
-     stop_shards gw;
-     raise e);
-  logf gw "shutting down";
-  List.iter
-    (fun (lfd, a, _) ->
-      (try Unix.close lfd with _ -> ());
-      Addr.cleanup a)
-    listeners;
-  List.iter (fun c -> close_client gw c) gw.conns;
-  List.iter (fun x -> try Unix.close x.xfd with _ -> ()) gw.exchanges;
-  Array.iter (fun s -> drop_idle s) gw.shards;
-  stop_shards gw
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun x -> if not x.x_done then try Unix.close x.xfd with _ -> ())
+        gw.exchanges;
+      Array.iter drop_idle gw.shards;
+      stop_shards gw)
+    (fun () ->
+      wait_for_shards gw;
+      let listeners =
+        List.filter_map
+          (fun (addr, door) ->
+            Option.map (fun a -> (Addr.listen a, a, door)) addr)
+          [
+            (cfg.wire, Conn_loop.Frames (handle_request gw));
+            (cfg.http, Conn_loop.Http_requests (http_request gw));
+          ]
+      in
+      logf gw "listening (%d shards, affinity %b)" (Array.length gw.shards)
+        cfg.affinity;
+      let buf = Bytes.create 65536 in
+      Conn_loop.run ?stop
+        ?log:(if cfg.log then Some "crnsgate" else None)
+        ~metrics:gw.conn_metrics
+        ~watch:(fun () ->
+          gw.exchanges <- List.filter (fun x -> not x.x_done) gw.exchanges;
+          List.map (fun x -> (x.xfd, fun () -> read_exchange gw buf x))
+            gw.exchanges)
+        ~tick:(fun () -> tick gw)
+        ~max_frame:cfg.max_frame ~max_conns:cfg.max_conns listeners)

@@ -20,9 +20,11 @@
     from the structured error code; streamed [trace] replies become
     chunked responses, one wire frame per chunk), [GET /health] reports
     fleet liveness, [GET /metrics] is Prometheus text exposition
-    aggregating gateway counters with every shard's [stats] — per-op,
-    per-error-code and per-fault-class counters plus the lifetime work
-    table, labeled by shard.
+    aggregating gateway counters (its own connection fault classes
+    among them) with every shard's [stats] — per-op, per-error-code and
+    per-fault-class counters plus the lifetime work table, labeled by
+    shard. Client connections follow the daemon's rules ({!Conn_loop}),
+    with its default read deadline and idle timeout.
 
     [ping] and [stats] are answered by the gateway itself (ping's
     result is byte-identical to a daemon's; stats aggregates the

@@ -224,6 +224,13 @@ let read_exact ic n =
   done;
   Bytes.to_string out
 
+let write_all fd s =
+  let n = String.length s in
+  let written = ref 0 in
+  while !written < n do
+    written := !written + Unix.write_substring fd s !written (n - !written)
+  done
+
 let write_request fd ?(meth = "POST") ~host ~path body =
   let head =
     Printf.sprintf
@@ -231,13 +238,7 @@ let write_request fd ?(meth = "POST") ~host ~path body =
        Content-Length: %d\r\nConnection: keep-alive\r\n\r\n"
       meth path host (String.length body)
   in
-  let payload = head ^ body in
-  let n = String.length payload in
-  let written = ref 0 in
-  while !written < n do
-    written :=
-      !written + Unix.write_substring fd payload !written (n - !written)
-  done
+  write_all fd (head ^ body)
 
 exception Bad_response of string
 

@@ -62,6 +62,9 @@ val chunk : string -> string
 val last_chunk : string
 (** The terminal zero chunk. *)
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write all of a response (or request), blocking. *)
+
 (** {2 Blocking client} *)
 
 type ic

@@ -75,6 +75,7 @@ type t = {
   mutable idle_reaped : int;  (* quiet connection past the idle timeout *)
   mutable read_resets : int;  (* ECONNRESET (or kin) while reading *)
   mutable dirty_closes : int;  (* EOF with a partial frame buffered *)
+  mutable accept_errors : int;  (* accept calls that failed (EMFILE...) *)
 }
 
 type conn_event =
@@ -88,6 +89,7 @@ type conn_event =
   | Idle_reaped
   | Read_reset
   | Dirty_close
+  | Accept_error
 
 let create () =
   {
@@ -118,6 +120,7 @@ let create () =
     idle_reaped = 0;
     read_resets = 0;
     dirty_closes = 0;
+    accept_errors = 0;
   }
 
 let record_conn agg event =
@@ -132,7 +135,8 @@ let record_conn agg event =
   | Read_timeout -> agg.read_timeouts <- agg.read_timeouts + 1
   | Idle_reaped -> agg.idle_reaped <- agg.idle_reaped + 1
   | Read_reset -> agg.read_resets <- agg.read_resets + 1
-  | Dirty_close -> agg.dirty_closes <- agg.dirty_closes + 1);
+  | Dirty_close -> agg.dirty_closes <- agg.dirty_closes + 1
+  | Accept_error -> agg.accept_errors <- agg.accept_errors + 1);
   Mutex.unlock agg.mutex
 
 let record_validate agg ~ok =
@@ -182,11 +186,32 @@ let table_json tbl =
     (Hashtbl.fold (fun k v acc -> (k, Json.int v) :: acc) tbl []
     |> List.sort compare)
 
+let conn_counters agg =
+  Mutex.lock agg.mutex;
+  let counters =
+    [
+      ("conns_accepted", agg.conns_accepted);
+      ("conns_closed", agg.conns_closed);
+      ("conns_rejected", agg.conns_rejected);
+      ("frames_in", agg.frames_in);
+      ("framing_errors", agg.framing_errors);
+      ("oversized_frames", agg.oversized_frames);
+      ("read_timeouts", agg.read_timeouts);
+      ("idle_reaped", agg.idle_reaped);
+      ("read_resets", agg.read_resets);
+      ("dirty_closes", agg.dirty_closes);
+      ("accept_errors", agg.accept_errors);
+    ]
+  in
+  Mutex.unlock agg.mutex;
+  counters
+
 let to_json agg =
+  let conns = conn_counters agg in
   Mutex.lock agg.mutex;
   let j =
     Json.Obj
-      [
+      ([
         ("uptime_s", Json.num (Unix.gettimeofday () -. agg.started_at));
         ("requests", Json.int agg.requests);
         ("ok", Json.int agg.ok);
@@ -211,17 +236,8 @@ let to_json agg =
           match agg.last_job_error with
           | None -> Json.Null
           | Some msg -> Json.str msg );
-        ("conns_accepted", Json.int agg.conns_accepted);
-        ("conns_closed", Json.int agg.conns_closed);
-        ("conns_rejected", Json.int agg.conns_rejected);
-        ("frames_in", Json.int agg.frames_in);
-        ("framing_errors", Json.int agg.framing_errors);
-        ("oversized_frames", Json.int agg.oversized_frames);
-        ("read_timeouts", Json.int agg.read_timeouts);
-        ("idle_reaped", Json.int agg.idle_reaped);
-        ("read_resets", Json.int agg.read_resets);
-        ("dirty_closes", Json.int agg.dirty_closes);
       ]
+      @ List.map (fun (k, n) -> (k, Json.int n)) conns)
   in
   Mutex.unlock agg.mutex;
   j

@@ -32,7 +32,7 @@ val record : t -> op:string -> error:string option -> request:request -> unit
     events, tau leaps, ODE steps, hybrid repartitions — each engine has
     done since the daemon started. *)
 
-(** Connection-level fault classes the daemon counts — one per way a
+(** Connection-level fault classes each front door counts — one per way a
     hostile or broken peer can misbehave, so the [stats] op shows what
     the serving layer has been absorbing. *)
 type conn_event =
@@ -46,8 +46,13 @@ type conn_event =
   | Idle_reaped  (** quiet connection past the idle timeout *)
   | Read_reset  (** connection reset (or kin) while reading *)
   | Dirty_close  (** EOF with a partial frame still buffered *)
+  | Accept_error  (** an accept failed (EMFILE, ENFILE, ECONNABORTED...) *)
 
 val record_conn : t -> conn_event -> unit
+
+val conn_counters : t -> (string * int) list
+(** The {!conn_event} counters by their {!to_json} names
+    ([conns_accepted] ... [accept_errors]), in that order. *)
 
 val record_validate : t -> ok:bool -> unit
 (** Count a [validate] request's verdict: certified ([ok:true]) or
@@ -63,3 +68,9 @@ val record_job_exception : t -> exn -> unit
     {!to_json} as [job_exceptions] / [last_job_error]. *)
 
 val to_json : t -> Json.t
+
+val bump : (string, int) Hashtbl.t -> string -> unit
+(** Count one more under the key. *)
+
+val table_json : (string, int) Hashtbl.t -> Json.t
+(** The counts as an object, keys sorted. *)

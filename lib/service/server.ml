@@ -1,10 +1,10 @@
 (* The mrsc simulation server.
 
-   Architecture: one accept/read event loop on the calling domain
-   multiplexes connections with [Unix.select] and slices frames out of
-   per-connection incremental decoders; complete requests become jobs on
-   a bounded {!Numeric.Domain_pool.Bounded} queue served by persistent
-   worker domains. Submission beyond the bound is answered immediately
+   Architecture: the connection core ({!Conn_loop}) slices frames out
+   of client connections on the calling domain; complete requests
+   become jobs on a bounded {!Numeric.Domain_pool.Bounded} queue served
+   by persistent worker domains, and each worker writes its own
+   response frames. Submission beyond the bound is answered immediately
    with a structured [overloaded] error (backpressure is explicit, the
    queue never grows without limit), and every compute job carries a
    wall-clock deadline threaded into the simulation kernels as a
@@ -42,54 +42,14 @@ let default_config address =
     cache_capacity = 32;
     default_deadline_ms = None;
     max_frame = 8 * 1024 * 1024;
-    read_deadline_ms = 10_000.;
-    idle_timeout_ms = 300_000.;
+    read_deadline_ms = Conn_loop.default_read_deadline_ms;
+    idle_timeout_ms = Conn_loop.default_idle_timeout_ms;
     max_conns = 256;
     log = false;
     state_dir = None;
   }
 
 let protocol_version = 1
-
-(* ------------------------------------------------------- connections *)
-
-type conn = {
-  fd : Unix.file_descr;
-  dec : Wire.decoder;
-  wmutex : Mutex.t;  (* serializes frame writes and the fields below *)
-  mutable in_flight : int;  (* jobs holding a reference to this conn *)
-  mutable closing : bool;  (* peer EOF'd or read failed *)
-  mutable closed : bool;
-  mutable last_activity : float;  (* last bytes read or response sent *)
-  mutable partial_since : float option;
-      (* when the oldest byte of a still-incomplete frame arrived; the
-         read deadline kills a connection that stalls mid-frame *)
-  id : int;
-}
-
-let conn_close_locked c =
-  if not c.closed then begin
-    c.closed <- true;
-    try Unix.close c.fd with _ -> ()
-  end
-
-(* Send one frame; quietly drops the response if the peer is gone (the
-   worker must never die because a client hung up mid-run). *)
-let send c payload =
-  Mutex.lock c.wmutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.wmutex)
-    (fun () ->
-      if not c.closed then
-        try Wire.write_frame c.fd payload
-        with Unix.Unix_error _ | Wire.Framing_error _ -> c.closing <- true)
-
-let job_done c =
-  Mutex.lock c.wmutex;
-  c.in_flight <- c.in_flight - 1;
-  c.last_activity <- Unix.gettimeofday ();
-  if c.closing && c.in_flight = 0 then conn_close_locked c;
-  Mutex.unlock c.wmutex
 
 (* ---------------------------------------------------- request decoding *)
 
@@ -108,16 +68,17 @@ let network_spec req =
       | None, Some text -> `Text text
       | _ -> bad "\"network\" must be {\"catalog\": name} or {\"text\": crn}")
 
-let spec_string = function
-  | `Catalog name -> "catalog:" ^ name
-  | `Text text -> "text:" ^ text
-
 let build_network = function
   | `Catalog name -> (
       match Designs.Catalog.find name with
       | Some entry -> entry.Designs.Catalog.build ()
       | None -> Error.reject (Error.Unknown_design name))
   | `Text text -> Crn.Parser.network_of_string text
+
+let network_source req =
+  match network_spec req with
+  | `Catalog name as spec -> ("catalog:" ^ name, fun () -> build_network spec)
+  | `Text text as spec -> ("text:" ^ text, fun () -> build_network spec)
 
 let env_of req =
   match get_float req "ratio" with
@@ -180,14 +141,13 @@ type resolved = {
    call compiles it straight from the built network, since a one-shot
    run has no cache to key. *)
 let resolve host req ~env =
-  let spec = network_spec req in
+  let source, build = network_source req in
   match host.cache with
   | Some cache -> (
       let entry, outcome =
         Model_cache.find_or_compile cache
-          ~source_key:(Model_cache.source_key ~spec:(spec_string spec) ~env)
-          ~env
-          ~build:(fun () -> build_network spec)
+          ~source_key:(Model_cache.source_key ~spec:source ~env)
+          ~env ~build
       in
       let model = entry.Model_cache.model in
       match outcome with
@@ -200,7 +160,7 @@ let resolve host req ~env =
           })
   | None ->
       let model, compile_ms =
-        timed (fun () -> Engines.compile env (build_network spec))
+        timed (fun () -> Engines.compile env (build ()))
       in
       { model; cache_outcome = Metrics.Miss; compile_ms }
 
@@ -504,40 +464,6 @@ let compute_handler op =
 
 (* ------------------------------------------------------------ responses *)
 
-(* [done_] marks the final frame of a streamed (trace) response; the
-   field leads the object so the serialized form has the stable prefix
-   {"done": that a relaying gateway matches without parsing *)
-let envelope ~done_ fields =
-  Json.Obj (if done_ then ("done", Json.Bool true) :: fields else fields)
-
-let response_ok ?(done_ = false) ~op ~result ~metrics () =
-  envelope ~done_
-    [
-      ("ok", Json.Bool true);
-      ("op", Json.str op);
-      ("result", result);
-      ("metrics", Metrics.request_json metrics);
-    ]
-
-let response_error ?(done_ = false) ~op ~error ~metrics () =
-  envelope ~done_
-    [
-      ("ok", Json.Bool false);
-      ("op", Json.str op);
-      ("error", Error.to_json error);
-      ("metrics", Metrics.request_json metrics);
-    ]
-
-let quick_metrics ?(cache = Metrics.Not_applicable) ~arrival () =
-  {
-    Metrics.queue_wait_ms = 0.;
-    cache;
-    compile_ms = 0.;
-    run_ms = 0.;
-    total_ms = (Unix.gettimeofday () -. arrival) *. 1000.;
-    extra = [];
-  }
-
 let deadline_of req ~default ~arrival =
   match
     match get_float req "deadline_ms" with Some ms -> Some ms | None -> default
@@ -574,9 +500,11 @@ let execute ?(stream = false) host ~emit ~op ~handler ~req ~arrival ~deadline
     in
     match outcome with
     | Ok result ->
-        (response_ok ~done_:stream ~op ~result ~metrics (), metrics, None)
+        ( Conn_loop.response_ok ~done_:stream ~op ~result ~metrics (),
+          metrics,
+          None )
     | Stdlib.Error err ->
-        ( response_error ~done_:stream ~op ~error:err ~metrics (),
+        ( Conn_loop.response_error ~done_:stream ~op ~error:err ~metrics (),
           metrics,
           Some (Error.code err) )
   in
@@ -626,7 +554,7 @@ let execute ?(stream = false) host ~emit ~op ~handler ~req ~arrival ~deadline
    Returns the envelope, the error (if any), and the verdict when the
    exact tier ran. *)
 let validate req ~arrival =
-  let metrics = quick_metrics ~arrival () in
+  let metrics = Conn_loop.quick_metrics ~arrival () in
   match
     let spec = network_spec req in
     let net = build_network spec in
@@ -639,7 +567,9 @@ let validate req ~arrival =
         | Some err -> err
         | None -> Error.Internal (Printexc.to_string e)
       in
-      (response_error ~op:"validate" ~error:err ~metrics (), Some err, None)
+      ( Conn_loop.response_error ~op:"validate" ~error:err ~metrics (),
+        Some err,
+        None )
   | cert -> (
       let result verdict =
         Json.Obj
@@ -650,11 +580,12 @@ let validate req ~arrival =
       in
       match Verify.error_of_certificate cert with
       | None ->
-          ( response_ok ~op:"validate" ~result:(result "certified") ~metrics (),
+          ( Conn_loop.response_ok ~op:"validate" ~result:(result "certified")
+              ~metrics (),
             None,
             Some true )
       | Some err ->
-          ( envelope ~done_:false
+          ( Json.Obj
               [
                 ("ok", Json.Bool false);
                 ("op", Json.str "validate");
@@ -666,14 +597,14 @@ let validate req ~arrival =
             Some false ))
 
 let ping ~arrival =
-  response_ok ~op:"ping"
+  Conn_loop.response_ok ~op:"ping"
     ~result:(Json.Obj [ ("protocol", Json.int protocol_version) ])
-    ~metrics:(quick_metrics ~arrival ()) ()
+    ~metrics:(Conn_loop.quick_metrics ~arrival ()) ()
 
 let unknown_op op ~arrival =
-  response_error ~op
+  Conn_loop.response_error ~op
     ~error:(Error.Bad_request (Printf.sprintf "unknown op %S" op))
-    ~metrics:(quick_metrics ~arrival ()) ()
+    ~metrics:(Conn_loop.quick_metrics ~arrival ()) ()
 
 (* ------------------------------------------------------------ in-process *)
 
@@ -744,7 +675,7 @@ let logf srv fmt =
   if srv.config.log then Printf.eprintf ("crnserved: " ^^ fmt ^^ "\n%!")
   else Printf.ifprintf stderr fmt
 
-let send_json c j = send c (Json.to_string j)
+let send_json c j = Conn_loop.send_frame c (Json.to_string j)
 
 (* a deadline-cancelled run's checkpoint goes under the state directory;
    the token is its path relative to the directory *)
@@ -773,7 +704,7 @@ let run_job ~stream srv conn ~op ~handler ~req ~arrival ~deadline =
   in
   Metrics.record srv.metrics ~op ~error ~request:metrics;
   send_json conn response;
-  job_done conn
+  Conn_loop.release conn
 
 (* ------------------------------------------------------------ dispatch *)
 
@@ -813,70 +744,68 @@ let handle_stats srv ~arrival =
           ])
     | j -> j
   in
-  response_ok ~op:"stats" ~result ~metrics:(quick_metrics ~arrival ()) ()
+  Conn_loop.response_ok ~op:"stats" ~result
+    ~metrics:(Conn_loop.quick_metrics ~arrival ())
+    ()
+
+let parse_request payload =
+  match Json.of_string payload with
+  | exception Json.Parse_error msg ->
+      Stdlib.Error (Error.Bad_request ("bad JSON: " ^ msg))
+  | req -> (
+      match get_str req "op" with
+      | None | Some "" -> Stdlib.Error (Error.Bad_request "missing \"op\"")
+      | Some op -> Ok (req, op))
 
 let dispatch srv conn payload =
   let arrival = Unix.gettimeofday () in
-  match Json.of_string payload with
-  | exception Json.Parse_error msg ->
+  match parse_request payload with
+  | Stdlib.Error error ->
       send_json conn
-        (response_error ~op:"?"
-           ~error:(Error.Bad_request ("bad JSON: " ^ msg))
-           ~metrics:(quick_metrics ~arrival ()) ())
-  | req -> (
-      let op = Option.value ~default:"" (get_str req "op") in
-      match op with
-      | "" ->
-          send_json conn
-            (response_error ~op:"?"
-               ~error:(Error.Bad_request "missing \"op\"")
-               ~metrics:(quick_metrics ~arrival ()) ())
-      | "ping" -> send_json conn (ping ~arrival)
-      | "stats" ->
-          Metrics.record srv.metrics ~op:"stats" ~error:None
-            ~request:(quick_metrics ~arrival ());
-          send_json conn (handle_stats srv ~arrival)
-      | "validate" ->
-          let response, err, verdict = validate req ~arrival in
-          Option.iter
-            (fun ok -> Metrics.record_validate srv.metrics ~ok)
-            verdict;
-          Metrics.record srv.metrics ~op:"validate"
-            ~error:(Option.map Error.code err)
-            ~request:(quick_metrics ~arrival ());
-          send_json conn response
-      | op -> (
-          match compute_handler op with
-          | None -> send_json conn (unknown_op op ~arrival)
-          | Some handler ->
-              let stream = op = "trace" in
-              let deadline =
-                deadline_of req ~default:srv.config.default_deadline_ms
-                  ~arrival
-              in
-              Mutex.lock conn.wmutex;
-              conn.in_flight <- conn.in_flight + 1;
-              Mutex.unlock conn.wmutex;
-              let job () =
-                run_job ~stream srv conn ~op ~handler ~req ~arrival ~deadline
-              in
-              if not (Numeric.Domain_pool.Bounded.try_submit srv.pool job)
-              then begin
-                let err =
-                  Error.Overloaded { queue_bound = srv.config.queue_bound }
-                in
-                Metrics.record srv.metrics ~op ~error:(Some (Error.code err))
-                  ~request:(quick_metrics ~arrival ());
-                send_json conn
-                  (response_error ~done_:stream ~op ~error:err
-                     ~metrics:(quick_metrics ~arrival ()) ());
-                job_done conn
-              end))
+        (Conn_loop.response_error ~op:"?" ~error
+           ~metrics:(Conn_loop.quick_metrics ~arrival ())
+           ())
+  | Ok (_, "ping") -> send_json conn (ping ~arrival)
+  | Ok (_, "stats") ->
+      Metrics.record srv.metrics ~op:"stats" ~error:None
+        ~request:(Conn_loop.quick_metrics ~arrival ());
+      send_json conn (handle_stats srv ~arrival)
+  | Ok (req, "validate") ->
+      let response, err, verdict = validate req ~arrival in
+      Option.iter (fun ok -> Metrics.record_validate srv.metrics ~ok) verdict;
+      Metrics.record srv.metrics ~op:"validate"
+        ~error:(Option.map Error.code err)
+        ~request:(Conn_loop.quick_metrics ~arrival ());
+      send_json conn response
+  | Ok (req, op) -> (
+      match compute_handler op with
+      | None -> send_json conn (unknown_op op ~arrival)
+      | Some handler ->
+          let stream = op = "trace" in
+          let deadline =
+            deadline_of req ~default:srv.config.default_deadline_ms ~arrival
+          in
+          Conn_loop.hold conn;
+          let job () =
+            run_job ~stream srv conn ~op ~handler ~req ~arrival ~deadline
+          in
+          if not (Numeric.Domain_pool.Bounded.try_submit srv.pool job)
+          then begin
+            let err =
+              Error.Overloaded { queue_bound = srv.config.queue_bound }
+            in
+            Metrics.record srv.metrics ~op ~error:(Some (Error.code err))
+              ~request:(Conn_loop.quick_metrics ~arrival ());
+            send_json conn
+              (Conn_loop.response_error ~done_:stream ~op ~error:err
+                 ~metrics:(Conn_loop.quick_metrics ~arrival ()) ());
+            Conn_loop.release conn
+          end)
 
-(* ------------------------------------------------------------ event loop *)
+(* ------------------------------------------------------------ serving *)
 
-let run ?(stop = fun () -> false) config =
-  let listen_fd = Addr.listen config.address in
+let run ?stop config =
+  let lfd = Addr.listen config.address in
   let srv =
     {
       config;
@@ -909,203 +838,10 @@ let run ?(stop = fun () -> false) config =
   logf srv "listening on %s (%d workers, queue bound %d)"
     (Addr.to_string config.address)
     config.jobs config.queue_bound;
-  let conns = ref [] in
-  let next_id = ref 0 in
-  let buf = Bytes.create 65536 in
-  let count e = Metrics.record_conn srv.metrics e in
-  (* tell the offending peer what killed its connection, best-effort,
-     then let the reaper close the socket *)
-  let kill c error =
-    send_json c
-      (response_error ~op:"?" ~error
-         ~metrics:(quick_metrics ~arrival:(Unix.gettimeofday ()) ()) ());
-    c.closing <- true
-  in
-  let accept () =
-    match Unix.accept listen_fd with
-    | fd, _ ->
-        if List.length !conns >= config.max_conns then begin
-          (* over the cap: a structured rejection, not a silent drop and
-             not an accept queue that starves the connections we already
-             serve *)
-          count Metrics.Conn_rejected;
-          logf srv "conn refused: %d connections at the cap" config.max_conns;
-          (try
-             Wire.write_frame fd
-               (Json.to_string
-                  (response_error ~op:"?"
-                     ~error:
-                       (Error.Connection_limit { max_conns = config.max_conns })
-                     ~metrics:
-                       (quick_metrics ~arrival:(Unix.gettimeofday ()) ())
-                     ()))
-           with _ -> ());
-          try Unix.close fd with _ -> ()
-        end
-        else begin
-          incr next_id;
-          let c =
-            {
-              fd;
-              dec = Wire.decoder ~max_frame:config.max_frame ();
-              wmutex = Mutex.create ();
-              in_flight = 0;
-              closing = false;
-              closed = false;
-              last_activity = Unix.gettimeofday ();
-              partial_since = None;
-              id = !next_id;
-            }
-          in
-          count Metrics.Conn_accepted;
-          logf srv "conn %d: accepted" c.id;
-          conns := c :: !conns
-        end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-  in
-  let read_conn c =
-    match Unix.read c.fd buf 0 (Bytes.length buf) with
-    | 0 ->
-        if Wire.buffered c.dec > 0 then begin
-          (* peer died mid-frame: the reset/torn-close fault class *)
-          count Metrics.Dirty_close;
-          logf srv "conn %d: EOF inside a frame (%d bytes buffered)" c.id
-            (Wire.buffered c.dec)
-        end
-        else logf srv "conn %d: EOF" c.id;
-        c.closing <- true
-    | n -> (
-        c.last_activity <- Unix.gettimeofday ();
-        Wire.feed c.dec buf n;
-        (try
-           let rec drain () =
-             match Wire.next_frame c.dec with
-             | Some payload ->
-                 count Metrics.Frame_in;
-                 dispatch srv c payload;
-                 drain ()
-             | None -> ()
-           in
-           drain ()
-         with
-        | Wire.Framing_error msg ->
-            count Metrics.Framing_error;
-            logf srv "conn %d: framing error: %s" c.id msg;
-            kill c (Error.Bad_request ("framing error: " ^ msg))
-        | Wire.Oversized_frame { len; limit } ->
-            count Metrics.Oversized_frame;
-            logf srv "conn %d: oversized frame (%d > %d)" c.id len limit;
-            kill c
-              (Error.Bad_request
-                 (Printf.sprintf
-                    "frame length %d exceeds the %d-byte limit" len limit)));
-        (* whatever drained, what remains buffered is a partial frame:
-           start (or keep) its read-deadline clock; a clean boundary
-           resets it *)
-        if c.closing || Wire.buffered c.dec = 0 then c.partial_since <- None
-        else if c.partial_since = None then
-          c.partial_since <- Some c.last_activity)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-        count Metrics.Read_reset;
-        logf srv "conn %d: reset by peer" c.id;
-        c.closing <- true
-    | exception Unix.Unix_error _ ->
-        count Metrics.Read_reset;
-        c.closing <- true
-  in
-  (* per-tick sweep: a partial frame older than the read deadline, or a
-     connection with nothing buffered, nothing running and no traffic
-     for the idle timeout, is killed — only that connection; the select
-     loop's 0.25 s tick bounds the sweep latency *)
-  let sweep_timeouts () =
-    let now = Unix.gettimeofday () in
-    List.iter
-      (fun c ->
-        if not c.closing then begin
-          (match c.partial_since with
-          | Some t0
-            when config.read_deadline_ms > 0.
-                 && (now -. t0) *. 1000. > config.read_deadline_ms ->
-              count Metrics.Read_timeout;
-              logf srv "conn %d: read deadline (%.0f ms) on a partial frame"
-                c.id config.read_deadline_ms;
-              kill c
-                (Error.Bad_request
-                   (Printf.sprintf
-                      "incomplete frame after %.0f ms read deadline"
-                      config.read_deadline_ms))
-          | _ -> ());
-          if
-            (not c.closing)
-            && config.idle_timeout_ms > 0.
-            && c.in_flight = 0
-            && Wire.buffered c.dec = 0
-            && (now -. c.last_activity) *. 1000. > config.idle_timeout_ms
-          then begin
-            count Metrics.Idle_reaped;
-            logf srv "conn %d: idle for %.0f ms, reaping" c.id
-              config.idle_timeout_ms;
-            c.closing <- true
-          end
-        end)
-      !conns
-  in
-  let reap () =
-    conns :=
-      List.filter
-        (fun c ->
-          if c.closing then begin
-            Mutex.lock c.wmutex;
-            if c.in_flight = 0 then conn_close_locked c;
-            let dead = c.closed in
-            Mutex.unlock c.wmutex;
-            if dead then begin
-              count Metrics.Conn_closed;
-              logf srv "conn %d: closed" c.id
-            end;
-            not dead
-          end
-          else true)
-        !conns
-  in
-  (try
-     while not (stop ()) do
-       let watch =
-         listen_fd :: List.filter_map
-           (fun c -> if c.closing then None else Some c.fd)
-           !conns
-       in
-       match Unix.select watch [] [] 0.25 with
-       | readable, _, _ ->
-           List.iter
-             (fun fd ->
-               if fd = listen_fd then accept ()
-               else
-                 match
-                   List.find_opt (fun c -> c.fd = fd && not c.closed) !conns
-                 with
-                 | Some c -> read_conn c
-                 | None -> ())
-             readable;
-           sweep_timeouts ();
-           reap ()
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-     done
-   with e ->
-     (* tear down before re-raising so a crashed loop still frees the
-        socket and the worker domains *)
-     (try Unix.close listen_fd with _ -> ());
-     Addr.cleanup config.address;
-     Numeric.Domain_pool.Bounded.shutdown srv.pool;
-     raise e);
-  logf srv "shutting down";
-  (try Unix.close listen_fd with _ -> ());
-  Numeric.Domain_pool.Bounded.shutdown srv.pool;
-  List.iter
-    (fun c ->
-      Mutex.lock c.wmutex;
-      conn_close_locked c;
-      Mutex.unlock c.wmutex)
-    !conns;
-  Addr.cleanup config.address
+  Conn_loop.run ?stop
+    ?log:(if config.log then Some "crnserved" else None)
+    ~drain:(fun () -> Numeric.Domain_pool.Bounded.shutdown srv.pool)
+    ~read_deadline_ms:config.read_deadline_ms
+    ~idle_timeout_ms:config.idle_timeout_ms ~metrics:srv.metrics
+    ~max_frame:config.max_frame ~max_conns:config.max_conns
+    [ (lfd, config.address, Conn_loop.Frames (dispatch srv)) ]

@@ -1,4 +1,4 @@
-(** The mrsc simulation server: select-loop frontend, bounded worker
+(** The mrsc simulation server: {!Conn_loop} frontend, bounded worker
     pool, compiled-model cache, per-request deadlines and metrics.
 
     Protocol: length-prefixed JSON frames ({!Wire}). A request is an
@@ -41,19 +41,11 @@ type config = {
   cache_capacity : int;  (** compiled-model LRU entries *)
   default_deadline_ms : float option;
       (** applied when a request carries no ["deadline_ms"] *)
-  max_frame : int;
-      (** per-connection frame-size limit in bytes; a longer length
-          prefix is answered with a structured error and the connection
-          closed, without buffering or allocating the payload *)
-  read_deadline_ms : float;
-      (** a connection whose partial frame is older than this is
-          answered with a structured error and closed; [<= 0] disables *)
-  idle_timeout_ms : float;
-      (** a connection with no buffered bytes, no running jobs and no
-          traffic for this long is closed; [<= 0] disables *)
+  max_frame : int;  (** per-connection frame limit, in bytes *)
+  read_deadline_ms : float;  (** partial-frame deadline; [<= 0] disables *)
+  idle_timeout_ms : float;  (** [<= 0] disables *)
   max_conns : int;
-      (** open-connection cap; further accepts are answered with a
-          structured [connection_limit] error and closed immediately *)
+      (** open-connection cap; {!Conn_loop} applies all four limits *)
   log : bool;  (** one stderr line per connection event *)
   state_dir : string option;
       (** warm persistent state root: compiled-model snapshots live in
@@ -68,17 +60,24 @@ type config = {
 val default_config : Addr.t -> config
 (** All cores but one, queue bound 64, cache capacity 32, no default
     deadline, 8 MiB frames, 10 s read deadline, 5 min idle timeout,
-    256 connections, quiet.
-
-    Fault tolerance: every misbehaving peer kills at most its own
-    connection — torn frames are reassembled, a corrupt frame gets a
-    structured [bad_request], an oversized or negative length prefix a
-    structured error then close, a stalled or idle peer is reaped on the
-    deadlines above, and a reset/dirty close is absorbed. Each class
-    increments a counter visible through the [stats] op
-    ({!Metrics.record_conn}). *)
+    256 connections, quiet. Connections are served by {!Conn_loop},
+    whose fault rules apply; each fault class is counted in the [stats]
+    op. *)
 
 val protocol_version : int
+
+val parse_request : string -> (Json.t * string, Error.t) result
+(** A request frame's object and op, or the [bad_request] (bad JSON, no
+    ["op"]) that either front door answers with. *)
+
+val ping : arrival:float -> Json.t
+(** The [ping] op's envelope. *)
+
+val network_source : Json.t -> string * (unit -> Crn.Network.t)
+(** A request's ["network"] ([{"catalog": name}] or [{"text": crn}]) as
+    the model cache names its source, and the build that synthesizes or
+    parses it (raising {!Error.of_exn}'s errors). Raises
+    {!Error.Rejected} when the field is missing or malformed. *)
 
 val call :
   ?checkpoint:string -> ?on_frame:(Json.t -> unit) -> Json.t -> Json.t

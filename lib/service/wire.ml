@@ -2,14 +2,14 @@
    big-endian payload length followed by that many bytes of UTF-8 JSON.
    Writes emit the whole frame with one [write] sequence under the
    caller's lock; reads come in two flavors — a blocking reader for the
-   simple synchronous client, and an incremental decoder the server
-   feeds from its select loop so one slow connection can never stall the
-   others.
+   simple synchronous client, and an incremental decoder the connection
+   core feeds from its select loop so one slow connection can never stall
+   the others.
 
    All frame I/O goes through a {!transport} — a pair of read/write
    functions with the [Unix.read]/[Unix.write] calling convention — so
-   the fault-injection shim ({!Fault}) can sit between the framing layer
-   and the socket without either side knowing. *)
+   the tests' fault-injection shim (test/support/fault.ml) can sit
+   between the framing layer and the socket unseen by either side. *)
 
 let default_max_frame = 64 * 1024 * 1024
 (* A defensive ceiling even when the caller sets no explicit limit: a

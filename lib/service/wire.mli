@@ -21,7 +21,7 @@ exception Oversized_frame of { len : int; limit : int }
 
 (** A byte transport with the [Unix.read]/[Unix.write] calling
     convention ([buf -> off -> len -> n]; read returning 0 is EOF).
-    {!of_fd} wraps a socket; {!Fault.wrap} interposes fault injection. *)
+    {!of_fd} wraps a socket; the tests' [Fault.wrap] injects faults. *)
 type transport = {
   read : Bytes.t -> int -> int -> int;
   write : Bytes.t -> int -> int -> int;
@@ -43,7 +43,7 @@ val read_frame : ?max_frame:int -> Unix.file_descr -> string option
     client's retry policy relies on). Raises {!Framing_error} on EOF
     inside a frame and {!Oversized_frame} on a too-large prefix. *)
 
-(** Incremental decoder for the server's select loop: feed whatever
+(** Incremental decoder for {!Conn_loop}'s select loop: feed whatever
     bytes arrived, pull out as many complete frames as are buffered. *)
 type decoder
 
@@ -53,7 +53,7 @@ val decoder : ?max_frame:int -> unit -> decoder
 
 val buffered : decoder -> int
 (** Bytes currently buffered. After draining with {!next_frame} this is
-    nonzero exactly when a partial frame is pending — what the server's
+    nonzero exactly when a partial frame is pending — what the core's
     partial-frame read deadline watches. *)
 
 val feed : decoder -> Bytes.t -> int -> unit

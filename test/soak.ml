@@ -14,7 +14,7 @@
 
 module J = Service.Json
 module W = Service.Wire
-module F = Service.Fault
+module F = Fault
 module C = Service.Client
 
 let violations = Atomic.make 0

@@ -12,7 +12,7 @@
 
 module J = Service.Json
 module W = Service.Wire
-module F = Service.Fault
+module F = Fault
 module C = Service.Client
 
 let check_bool = Alcotest.(check bool)

@@ -27,11 +27,18 @@ let http_port = 18000 + (Unix.getpid () mod 20000)
 
 (* ------------------------------------------------------- fleet harness *)
 
-let start_daemon path =
+let start_daemon ?max_conns path =
   (try Unix.unlink path with _ -> ());
   let address = Service.Addr.Unix_sock path in
   let stop = Atomic.make false in
   let config = Service.Server.default_config address in
+  let config =
+    {
+      config with
+      Service.Server.max_conns =
+        Option.value ~default:config.Service.Server.max_conns max_conns;
+    }
+  in
   let d =
     Domain.spawn (fun () ->
         Service.Server.run ~stop:(fun () -> Atomic.get stop) config)
@@ -56,7 +63,8 @@ let wait_up ?(tries = 250) addr =
 (* [f gate_addr shard_addrs] against a live gateway over [shards]
    in-process daemons (plus any [extra] attached addresses) *)
 let with_fleet ?(shards = 2) ?(extra = []) ?(affinity = true)
-    ?(max_inflight = 64) ?(http = false) ?(boot_timeout_ms = 10_000.) f =
+    ?(max_inflight = 64) ?(http = false) ?(boot_timeout_ms = 10_000.)
+    ?max_conns f =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let daemons =
     List.init shards (fun i ->
@@ -77,6 +85,9 @@ let with_fleet ?(shards = 2) ?(extra = []) ?(affinity = true)
       max_inflight;
       boot_timeout_ms;
     }
+  in
+  let cfg =
+    { cfg with G.max_conns = Option.value ~default:cfg.G.max_conns max_conns }
   in
   let gstop = Atomic.make false in
   let gd =
@@ -528,6 +539,159 @@ let test_no_retry_after_torn_response () =
       Unix.sleepf 0.4;
       check_int "exactly one request ever sent" 1 (Atomic.get frames))
 
+(* ------------------------------------------ the daemon's fault rules *)
+
+let ping_req = J.Obj [ ("op", J.str "ping") ]
+
+let read_envelope fd =
+  match W.read_frame fd with
+  | Some payload -> J.of_string payload
+  | None -> Alcotest.fail "connection closed without a structured answer"
+
+let error_code j =
+  Option.value ~default:"?"
+    (Option.bind (Option.bind (J.member "error" j) (J.member "code")) J.to_str)
+
+let with_raw addr f =
+  let fd = Service.Addr.connect addr in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+      f fd)
+
+(* everything the peer sends until it closes *)
+let read_to_eof fd =
+  let buf = Bytes.create 4096 and out = Buffer.create 512 in
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes out buf 0 n;
+        go ()
+  in
+  go ();
+  Buffer.contents out
+
+let body_of_response r =
+  let n = String.length r in
+  let rec find i =
+    if i + 4 > n then Alcotest.fail "no HTTP response"
+    else if String.sub r i 4 = "\r\n\r\n" then String.sub r (i + 4) (n - i - 4)
+    else find (i + 1)
+  in
+  find 0
+
+let gate_counter gate_addr key =
+  let c = C.connect ~retries:5 ~retry_budget_ms:5_000. gate_addr in
+  Fun.protect
+    ~finally:(fun () -> C.close c)
+    (fun () ->
+      let stats = C.request c (J.Obj [ ("op", J.str "stats") ]) in
+      match
+        Option.bind (Option.bind stats.result (J.member "gateway")) (J.member key)
+      with
+      | Some v -> Option.value ~default:(-1) (J.to_int v)
+      | None -> Alcotest.failf "gateway stats have no %S" key)
+
+(* The gateway's doors keep the daemon's connection rules: a connection
+   over the cap is answered with a structured connection_limit (a 503
+   with the same envelope on HTTP) and closed, a half-sent frame is
+   answered with bad_request and closed at the default 10 s read
+   deadline, and the gateway's own stats and /metrics count both. *)
+let test_gateway_fault_rules () =
+  with_fleet ~shards:1 ~http:true ~max_conns:2 (fun gate_addr _ ->
+      with_raw gate_addr (fun fd1 ->
+          with_raw gate_addr (fun fd2 ->
+              W.write_frame fd1 (J.to_string ping_req);
+              W.write_frame fd2 (J.to_string ping_req);
+              check_bool "conn 1 served" true
+                (J.member "ok" (read_envelope fd1) = Some (J.Bool true));
+              check_bool "conn 2 served" true
+                (J.member "ok" (read_envelope fd2) = Some (J.Bool true));
+              let refused =
+                with_raw gate_addr (fun fd3 ->
+                    let j = read_envelope fd3 in
+                    check_bool "wire refusal closes" true (W.read_frame fd3 = None);
+                    j)
+              in
+              check_string "wire door: connection_limit" "connection_limit"
+                (error_code refused);
+              check_bool "the cap is named" true
+                (Option.bind (J.member "error" refused) (J.member "max_conns")
+                = Some (J.int 2));
+              let http = Service.Addr.Tcp ("127.0.0.1", http_port) in
+              let response = with_raw http read_to_eof in
+              check_bool "http door: 503" true
+                (contains ~needle:"HTTP/1.1 503" response);
+              check_string "http door: the wire door's envelope" (canon refused)
+                (canon (J.of_string (body_of_response response))));
+          (* half a frame, then silence *)
+          let torn = Bytes.make 9 'x' in
+          Bytes.set_int32_be torn 0 50l;
+          ignore (Unix.write fd1 torn 0 9);
+          let t0 = Unix.gettimeofday () in
+          let answer = read_envelope fd1 in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          check_string "half frame: bad_request" "bad_request"
+            (error_code answer);
+          check_bool
+            (Printf.sprintf "answered at the 10 s deadline (%.1f s)" elapsed)
+            true
+            (elapsed > 9.5 && elapsed < 13.);
+          check_bool "half frame: closed" true (W.read_frame fd1 = None));
+      check_bool "stats count the refusals" true
+        (gate_counter gate_addr "conns_rejected" >= 2);
+      check_int "stats count the read timeout" 1
+        (gate_counter gate_addr "read_timeouts");
+      let metrics = http_get "/metrics" in
+      check_bool "/metrics counts the read timeout" true
+        (contains ~needle:"mrsc_gateway_read_timeouts 1" metrics))
+
+(* Past FD_SETSIZE a select loop dies with EINVAL, and past the fd limit
+   accept fails: neither may take the process down. 1,030 connections
+   cross whichever limit comes first; a connection opened before the
+   flood keeps answering through it, and a new one is served once it
+   has closed. *)
+let survives_flood addr =
+  let ping_ok c = (C.request c ping_req).C.ok in
+  let early = C.connect ~read_deadline_ms:10_000. addr in
+  Fun.protect
+    ~finally:(fun () -> C.close early)
+    (fun () ->
+      check_bool "served before the flood" true (ping_ok early);
+      let flood = ref [] in
+      (try
+         for _ = 1 to 1030 do
+           flood := Service.Addr.connect addr :: !flood
+         done
+       with Unix.Unix_error _ -> ());
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with _ -> ()) !flood)
+        (fun () ->
+          check_bool "served during the flood" true (ping_ok early)));
+  let late =
+    C.connect ~retries:5 ~retry_budget_ms:5_000. ~read_deadline_ms:10_000.
+      addr
+  in
+  Fun.protect
+    ~finally:(fun () -> C.close late)
+    (fun () -> check_bool "served after the flood" true (ping_ok late))
+
+let test_daemon_flood () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let d = start_daemon ~max_conns:2000 (tmp "flood.sock") in
+  let addr, _, _ = d in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      wait_up addr;
+      survives_flood addr)
+
+let test_gateway_flood () =
+  with_fleet ~shards:2 (fun gate_addr _ -> survives_flood gate_addr)
+
 let suite =
   [
     ("byte identity (finals)", `Quick, test_byte_identity);
@@ -538,4 +702,7 @@ let suite =
     ("health and metrics", `Quick, test_health_and_metrics);
     ("retry overloaded, no duplicate", `Quick, test_retry_overloaded_no_duplicate);
     ("no retry after torn response", `Quick, test_no_retry_after_torn_response);
+    ("fault rules at both doors", `Quick, test_gateway_fault_rules);
+    ("daemon survives 1030 connections", `Quick, test_daemon_flood);
+    ("gateway survives 1030 connections", `Quick, test_gateway_flood);
   ]

@@ -320,9 +320,9 @@ let cache_of (resp : Service.Client.response) =
        (Option.bind resp.metrics (J.member "cache"))
        J.to_str)
 
-let total_ms_of (resp : Service.Client.response) =
+let compile_ms_of (resp : Service.Client.response) =
   Option.get
-    (Option.bind (Option.bind resp.metrics (J.member "total_ms")) J.to_float)
+    (Option.bind (Option.bind resp.metrics (J.member "compile_ms")) J.to_float)
 
 (* the acceptance bar: served results byte-identical to direct execution
    for the same network / seed / solver *)
@@ -489,11 +489,12 @@ let test_hybrid_and_tau_ops () =
         "work.repartitions accumulated" true
         (counter "repartitions" > 0.))
 
-let test_cache_hit_speedup () =
+(* A hit builds nothing: it reports no compile time, and six identical
+   requests leave one miss and one entry in the daemon's stats. Counted
+   rather than timed: a miss costs well under a millisecond, so a
+   cold/warm latency ratio measures the host more than the cache. *)
+let test_cache_hit_skips_build () =
   with_server (fun client ->
-      (* counter3 is the heaviest clocked design to synthesize + compile
-         (~40 ms); a short fixed-step run keeps the simulation itself
-         cheap, so the cold/warm ratio isolates what the cache saves *)
       let req =
         obj
           [
@@ -507,19 +508,24 @@ let test_cache_hit_speedup () =
       let cold = Service.Client.request client req in
       ignore (ok_result "cold" cold);
       Alcotest.(check string) "cold misses" "miss" (cache_of cold);
-      (* several warm repeats; take the fastest to de-noise *)
-      let warm_ms = ref infinity and warm_cache = ref "?" in
-      for _ = 1 to 5 do
+      for i = 1 to 5 do
         let warm = Service.Client.request client req in
         ignore (ok_result "warm" warm);
-        warm_cache := cache_of warm;
-        warm_ms := Float.min !warm_ms (total_ms_of warm)
+        Alcotest.(check string) "warm hits" "hit" (cache_of warm);
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "hit %d compiles nothing" i)
+          0. (compile_ms_of warm)
       done;
-      Alcotest.(check string) "warm hits" "hit" !warm_cache;
-      let cold_ms = total_ms_of cold in
-      if not (cold_ms >= 5. *. !warm_ms) then
-        Alcotest.failf "expected >=5x cache speedup, got %.2fms -> %.2fms"
-          cold_ms !warm_ms)
+      let stats =
+        ok_result "stats"
+          (Service.Client.request client (obj [ ("op", J.str "stats") ]))
+      in
+      let count key = Option.bind (J.member key stats) J.to_int in
+      Alcotest.(check (option int))
+        "one miss in six requests" (Some 1)
+        (count "cache_misses_total");
+      Alcotest.(check (option int))
+        "one cache entry" (Some 1) (count "cache_entries"))
 
 (* Two texts whose rate scales differ past the 12th significant digit
    are two networks: distinct keys, distinct entries, and each served
@@ -832,7 +838,8 @@ let suite =
       test_served_matches_direct;
     Alcotest.test_case "hybrid/tau ops + work stats" `Quick
       test_hybrid_and_tau_ops;
-    Alcotest.test_case "cache hit >=5x faster" `Quick test_cache_hit_speedup;
+    Alcotest.test_case "cache hit skips the build" `Quick
+      test_cache_hit_skips_build;
     Alcotest.test_case "rate scales key apart" `Quick test_rate_scale_keys;
     Alcotest.test_case "miss runs no refinement" `Quick
       test_miss_runs_no_refinement;
