@@ -9,7 +9,7 @@
      dune exec bench/bench_serve.exe -- --out path.json ...
 
    --served points at the crnserved binary the gateway spawns (the
-   gateway itself runs in-process on a separate domain). Five
+   gateway itself runs in-process on a separate domain). Four
    scenarios:
 
    scaling — closed-loop clients over a cache-miss-heavy workload (the
@@ -43,15 +43,7 @@
      (catalog certify) and half carrying a network the exact tier
      rejects with a structured code. Both halves run inline on the
      shard event loop, so the recorded rejects/sec is what it costs to
-     turn away a bad design: no pool worker, no simulation.
-
-   restart — SIGKILL every shard of a warmed fleet, let the supervisor
-     respawn them, and replay the warm set once. Run twice: without
-     --state-dir every source pays synthesis + compile again (the cold
-     restart storm); with it each respawned shard reloads its snapshot
-     set at startup and the same replay is all cache hits. The warm
-     fleet's counts carry the property (every source reloaded, no
-     miss); the cold/warm p50 ratio is reported alongside. *)
+     turn away a bad design: no pool worker, no simulation. *)
 
 let now = Unix.gettimeofday
 
@@ -74,7 +66,7 @@ let call addr op =
 let answers_ping addr =
   match call addr "ping" with _ -> true | exception _ -> false
 
-let start_fleet ?state_dir ~served ~dir ~shards ~jobs_per_shard
+let start_fleet ~served ~dir ~shards ~jobs_per_shard
     ~cache_capacity ~affinity () =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let sock = Filename.concat dir "gw.sock" in
@@ -89,7 +81,7 @@ let start_fleet ?state_dir ~served ~dir ~shards ~jobs_per_shard
               jobs = Some jobs_per_shard;
               queue_bound = None;
               cache_capacity = Some cache_capacity;
-              state_dir;
+              state_dir = None;
               extra_args = [];
             }))
       with
@@ -141,15 +133,6 @@ let fleet_cache_counts f =
   match fleet_counts f [ "cache_hits"; "cache_misses" ] with
   | [ h; m ] -> (h, m)
   | _ -> assert false
-
-(* each spawned shard's pid, from the gateway's own stats block *)
-let shard_pids f =
-  match stats_at f [ "gateway"; "shards" ] with
-  | Some (Service.Json.List shards) ->
-      List.map
-        (fun s -> Option.bind (Service.Json.member "pid" s) Service.Json.to_int)
-        shards
-  | _ -> []
 
 (* -------------------------------------------------------- load loops *)
 
@@ -503,119 +486,6 @@ let scenario_validate ~served ~dirbase ~smoke =
         (rejected /. m.wall_s);
       (r, certified, rejected))
 
-(* restart-storm: SIGKILL every shard of a warmed fleet and replay the
-   warm set once the supervisor has respawned them. Same design and
-   horizon as the affinity scenario: the replay's p50 is compile cost
-   without --state-dir and snapshot-hit cost with it. The respawn wait
-   itself (backoff + process start) is polled out before the measured
-   replay and reported separately — it is identical in both passes and
-   would otherwise drown the contrast. *)
-let scenario_restart ~served ~dirbase ~smoke =
-  let design = "ma4" and t1 = 0.05 in
-  let shards = 2 in
-  let per_shard = if smoke then 3 else 8 in
-  let ratios = pick_balanced_ratios ~design ~shards ~per_shard in
-  let k = Array.length ratios in
-  let run ~warm_state =
-    let tag = if warm_state then "warm" else "cold" in
-    let dir = Printf.sprintf "%s/restart-%s" dirbase tag in
-    let state_dir =
-      if warm_state then Some (Filename.concat dir "state") else None
-    in
-    let fleet =
-      start_fleet ?state_dir ~served ~dir ~shards ~jobs_per_shard:1
-        ~cache_capacity:per_shard ~affinity:true ()
-    in
-    Fun.protect
-      ~finally:(fun () -> stop_fleet fleet)
-      (fun () ->
-        (* warm every source once; each shard now owns its ring slice *)
-        let warm = Service.Client.connect fleet.addr in
-        Array.iter
-          (fun ratio ->
-            ignore
-              (Service.Client.call warm (ssa_req ~ratio ~design ~t1 ~seed:3 ())))
-          ratios;
-        Service.Client.close warm;
-        (* snapshot writes happen off the request path; let them land *)
-        Unix.sleepf 0.7;
-        let old_pids = shard_pids fleet in
-        (* SIGKILL every shard of this fleet (argv carries the unique
-           socket prefix); the supervisor respawns on its backoff ladder *)
-        ignore
-          (Sys.command
-             (Printf.sprintf "pkill -9 -f %s 2>/dev/null"
-                (Filename.quote (Filename.concat dir "shard-"))));
-        (* wait until every shard is a respawned process answering on
-           its own socket (a shard warm-loads before it accepts): while
-           one is still down the gateway fails its sources over to a
-           ring successor, where they would miss. Then poll source 0
-           until the fleet answers. Respawn wait, identical in both
-           passes, excluded from the measured replay. *)
-        let t_kill = now () in
-        let respawned () =
-          let pids = try shard_pids fleet with _ -> [] in
-          List.length pids = shards
-          && List.for_all2 (fun o p -> p <> None && p <> o) old_pids pids
-          && List.for_all
-               (fun i ->
-                 answers_ping
-                   (Service.Addr.Unix_sock
-                      (Filename.concat dir (Printf.sprintf "shard-%d.sock" i))))
-               (List.init shards Fun.id)
-        in
-        let rec await () =
-          let ok =
-            respawned ()
-            &&
-            match
-              let c = Service.Client.connect fleet.addr in
-              Fun.protect
-                ~finally:(fun () -> Service.Client.close c)
-                (fun () ->
-                  Service.Client.request c
-                    (ssa_req ~ratio:ratios.(0) ~design ~t1 ~seed:3 ()))
-            with
-            | resp -> resp.Service.Client.ok
-            | exception _ -> false
-          in
-          if not ok then
-            if now () -. t_kill > 30. then
-              failwith "fleet did not recover after shard kill"
-            else begin
-              Unix.sleepf 0.05;
-              await ()
-            end
-        in
-        await ();
-        let respawn_s = now () -. t_kill in
-        (* the storm: one pass over the whole warm set, one request in
-           flight — every latency is a first post-restart touch (source
-           0 already re-touched by the poll, same in both passes) *)
-        let m =
-          closed_loop ~addr:fleet.addr ~clients:1 ~per_client:k
-            ~make_req:(fun _ ri ->
-              ssa_req ~ratio:ratios.(ri) ~design ~t1 ~seed:3 ())
-        in
-        let warm_loaded, hits, misses =
-          match
-            fleet_counts fleet [ "warm_loaded"; "cache_hits"; "cache_misses" ]
-          with
-          | [ w; h; mi ] -> (w, h, mi)
-          | _ -> assert false
-        in
-        let r = row ~label:(Printf.sprintf "restart/%s" tag) ~shards ~clients:1 m in
-        report r;
-        Printf.eprintf
-          "%-22s respawn wait %.2fs; fleet after replay: %.0f warm-loaded, \
-           %.0f hits, %.0f misses\n%!"
-          "" respawn_s warm_loaded hits misses;
-        (r, respawn_s, warm_loaded, hits, misses))
-  in
-  let cold = run ~warm_state:false in
-  let warm = run ~warm_state:true in
-  (cold, warm, k)
-
 (* ------------------------------------------------------------- output *)
 
 let json_row b r =
@@ -629,10 +499,7 @@ let json_row b r =
 
 let write_json ~path ~smoke (r1, r2, scaling)
     (ring_row, rand_row, (ring_h, ring_m), (rand_h, rand_m), k, per_shard)
-    (ol_row, rate, duration) (v_row, v_certified, v_rejected)
-    ((cold_row, cold_wait, cold_wl, cold_h, cold_mi),
-     (warm_row, warm_wait, warm_wl, warm_h, warm_mi),
-     restart_sources) =
+    (ol_row, rate, duration) (v_row, v_certified, v_rejected) =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": \"mrsc-bench-serve/1\",\n";
   Buffer.add_string b
@@ -682,25 +549,9 @@ let write_json ~path ~smoke (r1, r2, scaling)
   Buffer.add_string b
     (Printf.sprintf
        ",\n    \"certified\": %.0f, \"rejected\": %.0f, \
-        \"rejects_per_sec\": %.1f\n  },\n"
+        \"rejects_per_sec\": %.1f\n  }\n}\n"
        v_certified v_rejected
        (v_rejected /. v_row.wall_s));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"restart\": {\n    \"workload\": \"SIGKILL all shards, replay \
-        warm set after respawn\",\n    \"sources\": %d,\n    \"cold\": "
-       restart_sources);
-  json_row b cold_row;
-  Buffer.add_string b ",\n    \"warm\": ";
-  json_row b warm_row;
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\n    \"cold_respawn_wait_s\": %.2f, \"warm_respawn_wait_s\": \
-        %.2f,\n    \"cold_fleet\": {\"warm_loaded\": %.0f, \"hits\": %.0f, \
-        \"misses\": %.0f},\n    \"warm_fleet\": {\"warm_loaded\": %.0f, \
-        \"hits\": %.0f, \"misses\": %.0f},\n    \"p50_win\": %.2f\n  }\n}\n"
-       cold_wait warm_wait cold_wl cold_h cold_mi warm_wl warm_h warm_mi
-       (cold_row.p50 /. warm_row.p50));
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc;
@@ -739,5 +590,4 @@ let () =
   let affinity = scenario_affinity ~served ~dirbase ~smoke in
   let ol = scenario_open_loop ~served ~dirbase ~smoke in
   let v = scenario_validate ~served ~dirbase ~smoke in
-  let restart = scenario_restart ~served ~dirbase ~smoke in
-  write_json ~path:!out ~smoke scaling affinity ol v restart
+  write_json ~path:!out ~smoke scaling affinity ol v

@@ -144,12 +144,11 @@ let max_conns =
 
 let state_dir =
   let doc =
-    "Warm persistent state directory. Compiled-model snapshots are written \
-     to $(docv)/models in the background and loaded back before the daemon \
-     accepts connections, so a restarted daemon serves its first repeated \
-     request as a cache hit instead of recompiling; deadline-cancelled runs \
-     leave resumable checkpoints in $(docv)/checkpoints. Corrupt or stale \
-     snapshots are skipped and counted, never fatal."
+    "Checkpoint directory, created at startup if missing. A \
+     deadline-cancelled run leaves a resumable checkpoint in \
+     $(docv)/checkpoints and names it in its $(i,deadline_exceeded) error; \
+     $(b,crnsim --resume) continues it bitwise. Without it no checkpoint \
+     is kept."
   in
   Arg.(
     value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)

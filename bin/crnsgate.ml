@@ -142,10 +142,10 @@ let cache_capacity =
 
 let state_dir =
   let doc =
-    "Warm persistent state root. Each spawned shard gets \
-     $(docv)/shard-N-state as its own $(b,--state-dir), so a respawned \
-     shard reloads the compiled models it owned before dying and serves \
-     its first routed request as a cache hit instead of recompiling."
+    "Checkpoint root. Each spawned shard gets $(docv)/shard-N-state as \
+     its own $(b,--state-dir), so a deadline-cancelled run routed there \
+     leaves its resumable checkpoint under \
+     $(docv)/shard-N-state/checkpoints."
   in
   Arg.(
     value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)

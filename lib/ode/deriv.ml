@@ -184,65 +184,6 @@ let with_k sys k =
 
 let rate_constants sys = Array.copy sys.k
 
-(* The raw view exists for the snapshot codec: every array of the
-   compiled system, copied out (and back in) so a deserialized system is
-   structurally independent of the reader's buffers. No recomputation on
-   load — the whole point of a snapshot is to skip [compile]. *)
-type raw = {
-  raw_n : int;
-  raw_nr : int;
-  raw_k : float array;
-  raw_rates : Crn.Rates.t array;
-  raw_r_off : int array;
-  raw_r_sp : int array;
-  raw_r_co : int array;
-  raw_s_off : int array;
-  raw_s_sp : int array;
-  raw_s_co : float array;
-  raw_jac_rows : int array;
-  raw_jac_cols : int array;
-}
-
-let to_raw sys =
-  {
-    raw_n = sys.n;
-    raw_nr = sys.nr;
-    raw_k = Array.copy sys.k;
-    raw_rates = Array.copy sys.rates;
-    raw_r_off = Array.copy sys.r_off;
-    raw_r_sp = Array.copy sys.r_sp;
-    raw_r_co = Array.copy sys.r_co;
-    raw_s_off = Array.copy sys.s_off;
-    raw_s_sp = Array.copy sys.s_sp;
-    raw_s_co = Array.copy sys.s_co;
-    raw_jac_rows = Array.copy sys.jac_rows;
-    raw_jac_cols = Array.copy sys.jac_cols;
-  }
-
-let of_raw r =
-  if
-    r.raw_n < 0 || r.raw_nr < 0
-    || Array.length r.raw_k <> r.raw_nr
-    || Array.length r.raw_rates <> r.raw_nr
-    || Array.length r.raw_r_off <> r.raw_nr + 1
-    || Array.length r.raw_s_off <> r.raw_nr + 1
-    || Array.length r.raw_jac_rows <> Array.length r.raw_jac_cols
-  then invalid_arg "Deriv.of_raw: inconsistent shapes";
-  {
-    n = r.raw_n;
-    nr = r.raw_nr;
-    k = Array.copy r.raw_k;
-    rates = Array.copy r.raw_rates;
-    r_off = Array.copy r.raw_r_off;
-    r_sp = Array.copy r.raw_r_sp;
-    r_co = Array.copy r.raw_r_co;
-    s_off = Array.copy r.raw_s_off;
-    s_sp = Array.copy r.raw_s_sp;
-    s_co = Array.copy r.raw_s_co;
-    jac_rows = Array.copy r.raw_jac_rows;
-    jac_cols = Array.copy r.raw_jac_cols;
-  }
-
 let dim sys = sys.n
 let n_reactions sys = sys.nr
 

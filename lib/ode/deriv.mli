@@ -36,28 +36,6 @@ val rate_constants : t -> float array
 (** A copy of the currently baked per-reaction rate constants, indexed in
     reaction-compilation order (the {!flux} index order). *)
 
-(** Transparent copy of every compiled array, for the snapshot codec.
-    {!of_raw} rebuilds a system without recompiling — a warm-loaded
-    system is byte-identical to the one that was saved. *)
-type raw = {
-  raw_n : int;
-  raw_nr : int;
-  raw_k : float array;
-  raw_rates : Crn.Rates.t array;
-  raw_r_off : int array;
-  raw_r_sp : int array;
-  raw_r_co : int array;
-  raw_s_off : int array;
-  raw_s_sp : int array;
-  raw_s_co : float array;
-  raw_jac_rows : int array;
-  raw_jac_cols : int array;
-}
-
-val to_raw : t -> raw
-val of_raw : raw -> t
-(** Raises [Invalid_argument] when the array shapes are inconsistent. *)
-
 val dim : t -> int
 (** Number of species. *)
 

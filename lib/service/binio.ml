@@ -1,9 +1,9 @@
-(* Dependency-free binary encoding for snapshots and checkpoints.
+(* Dependency-free binary encoding for simulation checkpoints.
 
    Writers append to a [Buffer.t]; readers walk an immutable string with
    a cursor and raise [Corrupt] on any malformed input — truncation, a
    negative or absurd length prefix, a bad tag — so callers can treat
-   every decode failure uniformly (skip-and-count, never crash).
+   every decode failure uniformly (one exception, never a crash).
 
    All integers are 64-bit big-endian (OCaml ints round-trip exactly;
    [w_int]/[r_int] are the only int codec, so there is no width
@@ -51,8 +51,10 @@ type reader = { buf : string; mutable pos : int }
 
 let reader s = { buf = s; pos = 0 }
 
+(* [r.pos + n] would wrap negative for a length prefix near [max_int]
+   and pass the check; the remaining-bytes form cannot overflow *)
 let need r n =
-  if n < 0 || r.pos + n > String.length r.buf then fail "truncated input"
+  if n < 0 || n > String.length r.buf - r.pos then fail "truncated input"
 
 let r_u8 r =
   need r 1;
@@ -155,8 +157,6 @@ let read_raw path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let read_file path = decode_file (read_raw path)
-
 (* Write-to-temp then rename: readers either see the complete old file
    or the complete new one, never a torn write. The temp name includes
    the pid so concurrent writers (several shards sharing a parent dir by
@@ -173,5 +173,3 @@ let write_raw_atomic path data =
      raise e);
   Sys.rename tmp path
 
-let write_file_atomic path ~kind ~version payload =
-  write_raw_atomic path (encode_file ~kind ~version payload)

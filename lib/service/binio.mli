@@ -1,4 +1,4 @@
-(** Dependency-free binary encoding for snapshots and checkpoints.
+(** Dependency-free binary encoding for simulation checkpoints.
 
     A tiny writer/reader pair plus a versioned, checksummed file
     container. Integers are 64-bit big-endian; floats travel as IEEE-754
@@ -6,7 +6,7 @@
     round-trips bitwise, which the resume guarantees depend on. Readers
     raise {!Corrupt} on any malformed input (truncation, bad length
     prefix, bad tag, checksum mismatch), so callers can treat every
-    decode failure uniformly: skip and count, never crash. *)
+    decode failure uniformly: one exception, never a crash. *)
 
 exception Corrupt of string
 
@@ -40,18 +40,14 @@ val r_int_array : reader -> int array
 val r_f64_array : reader -> float array
 val r_bool_array : reader -> bool array
 val r_option : (reader -> 'a) -> reader -> 'a option
-val at_end : reader -> bool
 
 val expect_end : reader -> unit
 (** Raise {!Corrupt} unless the cursor consumed the whole input —
     decoders call this last so trailing garbage is rejected. *)
 
-val crc32 : string -> int32
-(** IEEE CRC-32 (reflected, polynomial [0xEDB88320]). *)
-
 type file = { kind : string; version : int; payload : string }
 (** A decoded container: [kind] names the payload schema (e.g.
-    ["model"], ["sim-checkpoint"]), [version] its format revision. *)
+    ["mrsc-sim-checkpoint"]), [version] its format revision. *)
 
 val encode_file : kind:string -> version:int -> string -> string
 (** [encode_file ~kind ~version payload] wraps the payload in the
@@ -63,19 +59,11 @@ val decode_file : string -> file
     [kind]/[version] — an unknown version is {e not} a decode error
     here, so it can be counted separately from corruption. *)
 
-val read_file : string -> file
-(** Read and {!decode_file} a whole file. Raises {!Corrupt} on malformed
-    content and [Sys_error] on I/O failure. *)
-
 val read_raw : string -> string
 (** Whole-file contents, undecoded — for codecs that own the container
     string themselves. Raises [Sys_error] on I/O failure. *)
 
 val write_raw_atomic : string -> string -> unit
-(** Atomic write of raw bytes (temp file + rename), same guarantees as
-    {!write_file_atomic}. *)
-
-val write_file_atomic : string -> kind:string -> version:int -> string -> unit
-(** Encode and write to [path ^ ".tmp.<pid>"], then atomically rename
+(** Write raw bytes to [path ^ ".tmp.<pid>"], then atomically rename
     into place — concurrent readers see either the complete old file or
     the complete new one, never a torn write. *)

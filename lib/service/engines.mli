@@ -94,10 +94,3 @@ val names : string list
 val find : string -> entry option
 val of_tag : int -> entry option
 val of_state : state -> entry
-
-(**/**)
-
-(* Sub-codecs exposed for the snapshot round-trip and torn-write suites. *)
-
-val w_trace : Binio.writer -> Ode.Trace.t -> unit
-val r_trace : Binio.reader -> Ode.Trace.t

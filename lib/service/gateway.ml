@@ -479,10 +479,6 @@ let fleet_json shard_stats =
       ("job_exceptions", Json.num (sum "job_exceptions"));
       ("validate_ok", Json.num (sum "validate_ok"));
       ("validate_reject", Json.num (sum "validate_reject"));
-      ("warm_loaded", Json.num (sum "warm_loaded"));
-      ("warm_skipped_corrupt", Json.num (sum "warm_skipped_corrupt"));
-      ("warm_skipped_version", Json.num (sum "warm_skipped_version"));
-      ("snapshot_writes", Json.num (sum "snapshot_writes"));
       ( "work",
         Json.Obj
           (Hashtbl.fold (fun k v acc -> (k, Json.num v) :: acc) work []
@@ -649,8 +645,7 @@ let spawn_shard gw s =
         | Some v -> [ flag; string_of_int v ]
         | None -> []
       in
-      (* per-shard state dir so a respawned shard rejoins with the warm
-         set it had compiled before dying *)
+      (* per-shard state dir: each shard writes its own checkpoints *)
       let state_args =
         match state_dir with
         | None -> []

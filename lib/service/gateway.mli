@@ -47,10 +47,9 @@ type backend =
       queue_bound : int option;
       cache_capacity : int option;
       state_dir : string option;
-          (** warm persistent state root: each shard gets
-              [<dir>/shard-<i>-state], so a respawned shard reloads the
-              models it had compiled before dying and serves its first
-              routed request as a cache hit *)
+          (** checkpoint root: each shard gets [<dir>/shard-<i>-state]
+              as its own [--state-dir], so a deadline's checkpoint token
+              names a file under [<dir>/shard-<i>-state/checkpoints] *)
       extra_args : string list;
     }  (** spawn and supervise [count] daemons on Unix sockets *)
   | Attach of Addr.t list

@@ -9,7 +9,8 @@
     the same network under the same rate environment dedupes onto the
     same compiled entry via the digest. Entries are immutable compiled
     artifacts, safe to share across concurrent worker domains; all
-    cache state is mutex-protected. *)
+    cache state is mutex-protected. The cache lives in memory only: a
+    restarted daemon recompiles each model on its first touch. *)
 
 type entry = {
   key : string;  (** {!key} of the network under its environment *)
@@ -49,43 +50,3 @@ val find_or_compile :
 
 val stats : t -> int * int * int * int
 (** [(entries, hits, misses, evictions)] since creation. *)
-
-(** {2 Disk persistence}
-
-    With a state directory configured, every newly compiled entry (and
-    every eviction victim) is serialized by a background persister
-    domain — off the request path — into [<dir>/<digest>.model] via
-    atomic temp-file-plus-rename writes. A restarted daemon calls
-    {!load_from} before serving: each snapshot's digest is recomputed
-    from its decoded network and must match the stored key, so corrupt,
-    tampered or stale files are skipped and counted, never trusted and
-    never fatal. *)
-
-type warm_report = { loaded : int; skipped_corrupt : int; skipped_version : int }
-
-val set_state_dir : t -> string -> unit
-(** Create [dir] if needed and start the background persister. *)
-
-val load_from : t -> string -> warm_report
-(** Load every [*.model] snapshot in [dir] (sorted file order) up to the
-    cache capacity. Warm entries enter with fresh LRU ticks and zero
-    hits — load time restarts the recency clock, so a cold insert
-    cannot immediately evict the whole warm set. Unreadable, corrupt and
-    digest-mismatched files count as [skipped_corrupt]; well-formed
-    files from another format revision as [skipped_version]. Never
-    raises on bad input. *)
-
-val save_to : t -> string -> int
-(** Synchronously snapshot every resident entry into [dir] (created if
-    needed); returns the number written. *)
-
-val flush : t -> unit
-(** Block until the background persister has drained its queue. *)
-
-val shutdown : t -> unit
-(** Stop the persister domain after it finishes the queued writes. *)
-
-val warm_counters : t -> int * int * int * int
-(** [(warm_loaded, warm_skipped_corrupt, warm_skipped_version,
-    snapshot_writes)] since creation — surfaced by the daemon's [stats]
-    op and the gateway's Prometheus endpoint. *)

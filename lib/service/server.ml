@@ -27,11 +27,8 @@ type config = {
   max_conns : int;
   log : bool;
   state_dir : string option;
-      (* warm persistent state: compiled-model snapshots are written
-         under <dir>/models by a background persister and re-loaded
-         (digest-verified) before the daemon accepts connections;
-         deadline-cancelled runs leave resumable checkpoints under
-         <dir>/checkpoints *)
+      (* deadline-cancelled runs leave resumable checkpoints under
+         <dir>/checkpoints; the directory is created at boot *)
 }
 
 let default_config address =
@@ -677,6 +674,12 @@ let logf srv fmt =
 
 let send_json c j = Conn_loop.send_frame c (Json.to_string j)
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 (* a deadline-cancelled run's checkpoint goes under the state directory;
    the token is its path relative to the directory *)
 let save_under dir data =
@@ -731,17 +734,7 @@ let handle_stats srv ~arrival =
               ( "pool_uncaught",
                 Json.int
                   (fst (Numeric.Domain_pool.Bounded.uncaught srv.pool)) );
-            ]
-          @
-          let warm_loaded, warm_corrupt, warm_version, snapshot_writes =
-            Model_cache.warm_counters srv.cache
-          in
-          [
-            ("warm_loaded", Json.int warm_loaded);
-            ("warm_skipped_corrupt", Json.int warm_corrupt);
-            ("warm_skipped_version", Json.int warm_version);
-            ("snapshot_writes", Json.int snapshot_writes);
-          ])
+            ])
     | j -> j
   in
   Conn_loop.response_ok ~op:"stats" ~result
@@ -805,6 +798,9 @@ let dispatch srv conn payload =
 (* ------------------------------------------------------------ serving *)
 
 let run ?stop config =
+  (* made before binding: a state directory that cannot be created fails
+     the boot rather than silently dropping every checkpoint token *)
+  Option.iter mkdir_p config.state_dir;
   let lfd = Addr.listen config.address in
   let srv =
     {
@@ -821,20 +817,6 @@ let run ?stop config =
      metrics surface it via the stats op *)
   Numeric.Domain_pool.Bounded.set_on_uncaught srv.pool
     (Metrics.record_job_exception srv.metrics);
-  (* warm the model cache from disk BEFORE accepting connections, so
-     the first routed request after a restart is already a cache hit;
-     then arm the background persister for everything compiled from
-     here on *)
-  (match config.state_dir with
-  | None -> ()
-  | Some dir ->
-      let models = Filename.concat dir "models" in
-      let report = Model_cache.load_from srv.cache models in
-      logf srv
-        "warm start from %s: %d loaded, %d corrupt skipped, %d version skipped"
-        models report.Model_cache.loaded report.Model_cache.skipped_corrupt
-        report.Model_cache.skipped_version;
-      Model_cache.set_state_dir srv.cache models);
   logf srv "listening on %s (%d workers, queue bound %d)"
     (Addr.to_string config.address)
     config.jobs config.queue_bound;

@@ -48,13 +48,12 @@ type config = {
       (** open-connection cap; {!Conn_loop} applies all four limits *)
   log : bool;  (** one stderr line per connection event *)
   state_dir : string option;
-      (** warm persistent state root: compiled-model snapshots live in
-          [<dir>/models] (loaded before the daemon accepts connections,
-          written by a background persister on insert and eviction), and
-          deadline-cancelled engine runs drop resumable checkpoints in
-          [<dir>/checkpoints], named by the [deadline_exceeded] error's
-          ["checkpoint"] token (a [trace] stream keeps none). [None] (the
-          default) disables both. *)
+      (** checkpoint root, created (with its parents) before the daemon
+          binds: deadline-cancelled engine runs drop resumable
+          checkpoints in [<dir>/checkpoints], named by the
+          [deadline_exceeded] error's ["checkpoint"] token (a [trace]
+          stream keeps none). [None] (the default) keeps no
+          checkpoints. *)
 }
 
 val default_config : Addr.t -> config

@@ -1,27 +1,16 @@
-(* Binary codecs for the two persistent artifacts of the service layer:
-
-   - model snapshots: a compiled-model cache entry — network, rate
-     environment, CSR ODE system and SSA model — serialized so a
-     restarted daemon skips synthesis and both compilers for every warm
-     entry;
-   - simulation checkpoints: a network plus run parameters plus one
-     engine's loop-top mid-run state, self-contained so [crnsim
-     --resume] (or a client retrying a deadline-cancelled request) can
-     continue the trajectory bitwise. The engine's tag and state codec
-     are its {!Engines} entry's.
+(* Binary codec for the service layer's persistent artifact, the
+   simulation checkpoint: a network plus run parameters plus one
+   engine's loop-top mid-run state, self-contained so [crnsim --resume]
+   (or a client retrying a deadline-cancelled request) can continue the
+   trajectory bitwise. The engine's tag and state codec are its
+   {!Engines} entry's.
 
    Every decoder converts [Invalid_argument] from the rebuild
-   constructors (network interning, [Deriv.of_raw] shape checks, ...)
-   into [Binio.Corrupt]: a payload that passed the CRC but fails
-   semantic validation is corrupt for the caller's purposes, and callers
-   rely on a single exception to implement skip-and-count. *)
+   constructors (network interning, reaction checks, ...) into
+   [Binio.Corrupt]: a payload that passed the CRC but fails semantic
+   validation is corrupt for the caller's purposes, and callers rely on
+   a single exception to reject it. *)
 
-let model_kind = "mrsc-model"
-
-(* 2: the key is the network's binding digest, and the fingerprint
-   field is gone. Version-1 files carry the old key and the old layout;
-   the bump has the loader count them as version skew, not corruption. *)
-let model_version = 2
 let sim_kind = "mrsc-sim-checkpoint"
 let sim_version = 1
 
@@ -110,112 +99,6 @@ let r_network r =
       net)
     ()
 
-(* ---------- compiled ODE system ---------- *)
-
-let w_deriv b sys =
-  let raw = Ode.Deriv.to_raw sys in
-  Binio.w_int b raw.Ode.Deriv.raw_n;
-  Binio.w_int b raw.Ode.Deriv.raw_nr;
-  Binio.w_f64_array b raw.Ode.Deriv.raw_k;
-  Binio.w_array w_rate b raw.Ode.Deriv.raw_rates;
-  Binio.w_int_array b raw.Ode.Deriv.raw_r_off;
-  Binio.w_int_array b raw.Ode.Deriv.raw_r_sp;
-  Binio.w_int_array b raw.Ode.Deriv.raw_r_co;
-  Binio.w_int_array b raw.Ode.Deriv.raw_s_off;
-  Binio.w_int_array b raw.Ode.Deriv.raw_s_sp;
-  Binio.w_f64_array b raw.Ode.Deriv.raw_s_co;
-  Binio.w_int_array b raw.Ode.Deriv.raw_jac_rows;
-  Binio.w_int_array b raw.Ode.Deriv.raw_jac_cols
-
-let r_deriv r =
-  let raw_n = Binio.r_int r in
-  let raw_nr = Binio.r_int r in
-  let raw_k = Binio.r_f64_array r in
-  let raw_rates = Binio.r_array r_rate r in
-  let raw_r_off = Binio.r_int_array r in
-  let raw_r_sp = Binio.r_int_array r in
-  let raw_r_co = Binio.r_int_array r in
-  let raw_s_off = Binio.r_int_array r in
-  let raw_s_sp = Binio.r_int_array r in
-  let raw_s_co = Binio.r_f64_array r in
-  let raw_jac_rows = Binio.r_int_array r in
-  let raw_jac_cols = Binio.r_int_array r in
-  guarded Ode.Deriv.of_raw
-    {
-      Ode.Deriv.raw_n;
-      raw_nr;
-      raw_k;
-      raw_rates;
-      raw_r_off;
-      raw_r_sp;
-      raw_r_co;
-      raw_s_off;
-      raw_s_sp;
-      raw_s_co;
-      raw_jac_rows;
-      raw_jac_cols;
-    }
-
-(* ---------- compiled SSA model ---------- *)
-
-let w_compiled_reaction b (rx : Ssa.Compiled.reaction) =
-  Binio.w_f64 b rx.Ssa.Compiled.k;
-  Binio.w_int_array b rx.Ssa.Compiled.reactant_species;
-  Binio.w_int_array b rx.Ssa.Compiled.reactant_coeff;
-  Binio.w_int_array b rx.Ssa.Compiled.delta_species;
-  Binio.w_int_array b rx.Ssa.Compiled.delta
-
-let r_compiled_reaction r : Ssa.Compiled.reaction =
-  let k = Binio.r_f64 r in
-  let reactant_species = Binio.r_int_array r in
-  let reactant_coeff = Binio.r_int_array r in
-  let delta_species = Binio.r_int_array r in
-  let delta = Binio.r_int_array r in
-  if
-    Array.length reactant_species <> Array.length reactant_coeff
-    || Array.length delta_species <> Array.length delta
-  then raise (Binio.Corrupt "compiled reaction arrays disagree");
-  { Ssa.Compiled.k; reactant_species; reactant_coeff; delta_species; delta }
-
-let w_ssa_model b model =
-  let reactions, deps = Ssa.Gillespie.model_parts model in
-  Binio.w_int b (Ssa.Gillespie.model_n_species model);
-  Binio.w_array w_compiled_reaction b reactions;
-  Binio.w_array Binio.w_int_array b (Ssa.Dep_graph.to_arrays deps)
-
-let r_ssa_model r =
-  let n_species = Binio.r_int r in
-  let reactions = Binio.r_array r_compiled_reaction r in
-  let deps = Binio.r_array Binio.r_int_array r in
-  guarded
-    (fun () ->
-      Ssa.Gillespie.model_of_parts ~n_species reactions
-        (Ssa.Dep_graph.of_arrays deps))
-    ()
-
-(* ---------- model snapshots ---------- *)
-
-type model_snapshot = {
-  ms_key : string;
-  ms_sources : string array;
-  ms_compile_ms : float;
-  ms_net : Crn.Network.t;
-  ms_env : Crn.Rates.env;
-  ms_sys : Ode.Deriv.t;
-  ms_ssa : Ssa.Gillespie.model;
-}
-
-let encode_model ms =
-  let b = Binio.writer () in
-  Binio.w_string b ms.ms_key;
-  Binio.w_array Binio.w_string b ms.ms_sources;
-  Binio.w_f64 b ms.ms_compile_ms;
-  w_network b ms.ms_net;
-  w_env b ms.ms_env;
-  w_deriv b ms.ms_sys;
-  w_ssa_model b ms.ms_ssa;
-  Binio.encode_file ~kind:model_kind ~version:model_version (Binio.contents b)
-
 let check_header ~kind ~version (f : Binio.file) =
   if f.Binio.kind <> kind then
     raise
@@ -225,23 +108,6 @@ let check_header ~kind ~version (f : Binio.file) =
     raise
       (Version_mismatch
          { kind; found = f.Binio.version; expected = version })
-
-let decode_model s =
-  let f = Binio.decode_file s in
-  check_header ~kind:model_kind ~version:model_version f;
-  let r = Binio.reader f.Binio.payload in
-  let ms_key = Binio.r_string r in
-  let ms_sources = Binio.r_array Binio.r_string r in
-  let ms_compile_ms = Binio.r_f64 r in
-  let ms_net = r_network r in
-  let ms_env = r_env r in
-  let ms_sys = r_deriv r in
-  let ms_ssa = r_ssa_model r in
-  Binio.expect_end r;
-  { ms_key; ms_sources; ms_compile_ms; ms_net; ms_env; ms_sys; ms_ssa }
-
-let w_trace = Engines.w_trace
-let r_trace = Engines.r_trace
 
 (* ---------- self-contained simulation checkpoints ---------- *)
 

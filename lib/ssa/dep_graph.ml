@@ -46,11 +46,7 @@ let build reactions ~n_species =
   in
   { deps }
 
-let to_arrays t = Array.map Array.copy t.deps
-let of_arrays a = { deps = Array.map Array.copy a }
-
 let affected t j = t.deps.(j)
-let n_reactions t = Array.length t.deps
 
 let max_out_degree t =
   Array.fold_left (fun m d -> max m (Array.length d)) 0 t.deps

@@ -14,21 +14,11 @@ val build : Compiled.reaction array -> n_species:int -> t
     inert species) get no incoming edges, and zero-order reactions never
     appear in any affected set except through their products. *)
 
-val to_arrays : t -> int array array
-(** The raw adjacency arrays (a fresh copy), for serialization. *)
-
-val of_arrays : int array array -> t
-(** Rebuild a graph from arrays produced by {!to_arrays}. The caller is
-    responsible for the arrays matching the compiled network they will
-    be used with (the snapshot codec checksums them together). *)
-
 val affected : t -> int -> int array
 (** [affected g j]: sorted, duplicate-free indices of the reactions whose
     propensity may differ after firing [j] once (includes [j] itself iff
     [j] changes one of its own reactants). The returned array is owned by
     the graph — do not mutate. *)
-
-val n_reactions : t -> int
 
 val max_out_degree : t -> int
 (** Size of the largest affected set — the worst-case propensity updates
@@ -36,4 +26,4 @@ val max_out_degree : t -> int
 
 val mean_out_degree : t -> float
 (** Average affected-set size; the expected per-event update cost compared
-    against [n_reactions] for the full-recompute baseline. *)
+    against the reaction count for the full-recompute baseline. *)

@@ -37,13 +37,6 @@ let compile_model env net =
 
 let model_parts m = (m.reactions, m.deps)
 
-let model_of_parts ~n_species reactions deps =
-  if Dep_graph.n_reactions deps <> Array.length reactions then
-    invalid_arg "Gillespie.model_of_parts: graph / reaction count mismatch";
-  { reactions; deps; n_species }
-
-let model_n_species m = m.n_species
-
 let make_engine (model : model) = Prop_engine.make model.reactions model.deps
 let total = Prop_engine.total
 let refresh = Prop_engine.refresh

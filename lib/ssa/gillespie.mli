@@ -43,17 +43,8 @@ val compile_model : Crn.Rates.env -> Crn.Network.t -> model
 
 val model_parts : model -> Compiled.reaction array * Dep_graph.t
 (** The compiled reactions and dependency graph inside a model — lets
-    other engines (the hybrid simulator, the service layer's cache) build
-    on a model compiled once here without recompiling the network. *)
-
-val model_of_parts :
-  n_species:int -> Compiled.reaction array -> Dep_graph.t -> model
-(** Reassemble a model from parts produced by {!model_parts} (the
-    snapshot codec round-trips models through this). Raises
-    [Invalid_argument] when the graph's reaction count disagrees with
-    the reaction array. *)
-
-val model_n_species : model -> int
+    another engine (the hybrid simulator) build on a model compiled once
+    here without recompiling the network. *)
 
 type checkpoint = {
   ck_counts : int array;

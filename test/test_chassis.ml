@@ -229,9 +229,9 @@ let cancel_after n =
       !polls > n)
 
 (* interrupt an SSA run of the relaxation clock mid-trajectory, round-trip
-   the checkpoint through the snapshot codec, resume, and demand the
-   bitwise-identical trace — the warm-state machinery of the service tier
-   must not care which chassis generated the trajectory *)
+   the checkpoint through its codec, resume, and demand the
+   bitwise-identical trace — the service tier's checkpoints must not
+   care which chassis generated the trajectory *)
 let test_relaxation_resume_bitwise () =
   let module S = Service.Snapshot in
   let net = Designs.Catalog.build "rx-clock4" in

@@ -198,18 +198,20 @@ let checkpoint_of what (resp : C.response) =
 
 (* a daemon with a state directory cancels an rk4 run on its deadline
    and names the checkpoint it wrote; resuming that file finishes on the
-   uninterrupted run's final state, bit for bit. A streamed trace keeps
-   no checkpoint there: resuming one would need every sample already
+   uninterrupted run's final state, bit for bit. The directory does not
+   exist beforehand: the daemon creates it. A streamed trace keeps no
+   checkpoint there: resuming one would need every sample already
    sent. *)
 let test_served_rk4_resume () =
   let dir = Test_snapshot.tmpdir () in
+  let state = Filename.concat (Filename.concat dir "state") "nested" in
   let sock = Filename.concat dir "d.sock" in
   let address = Service.Addr.Unix_sock sock in
   let stop = Atomic.make false in
   let config =
     { (Service.Server.default_config address) with
       Service.Server.jobs = 1;
-      state_dir = Some dir }
+      state_dir = Some state }
   in
   let d =
     Domain.spawn (fun () ->
@@ -232,7 +234,7 @@ let test_served_rk4_resume () =
       in
       let sc =
         Service.Snapshot.decode_sim
-          (Service.Binio.read_raw (Filename.concat dir token))
+          (Service.Binio.read_raw (Filename.concat state token))
       in
       let final envelope =
         let result = Option.get (C.response_of_json envelope).C.result in

@@ -223,17 +223,24 @@ let test_model_cache () =
   in
   Alcotest.(check string) "fingerprint round-trips"
     (fingerprint e2) (fingerprint e3);
-  (* capacity 2: loading two more designs evicts the LRU *)
+  (* capacity 2: loading two more designs evicts the LRU; a hit counts
+     as a use, so the entry it touched outlives a later insert *)
   let load name =
-    ignore
+    snd
       (Service.Model_cache.find_or_compile cache ~source_key:(key name) ~env
          ~build:(build name))
   in
-  load "counter2";
-  load "lfsr3";
+  ignore (load "counter2");
+  Alcotest.(check bool) "touch the text entry" true
+    (snd (load_text text) = `Hit);
+  ignore (load "lfsr3");
   let entries, _, _, evictions = Service.Model_cache.stats cache in
   Alcotest.(check int) "capacity respected" 2 entries;
   Alcotest.(check bool) "evicted at least one" true (evictions >= 1);
+  Alcotest.(check bool) "touched entry survived" true
+    (snd (load_text text) = `Hit);
+  Alcotest.(check bool) "least recently used evicted" true
+    (load "counter2" = `Miss);
   (* different rate environments are distinct cache entries *)
   let env2 = Crn.Rates.env_with_ratio 10. in
   let e4, o4 =
