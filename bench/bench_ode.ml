@@ -1,5 +1,5 @@
-(* ODE engine benchmark: the CSR flat RHS/Jacobian kernel vs the retained
-   boxed-record baseline (Deriv.Reference), plus multicore scaling of the
+(* ODE engine benchmark: throughput of the CSR flat RHS/Jacobian kernel
+   and of the stiff path's LU, plus multicore scaling of the
    deterministic sweep engine.
 
    Emits machine-readable BENCH_ode.json in the current directory so the
@@ -9,12 +9,10 @@
      dune exec bench/bench_ode.exe -- --quick            # CI smoke
      dune exec bench/bench_ode.exe -- --out path.json    # explicit output
 
-   JSON schema (mrsc-bench-ode/3):
-     kernel.networks[]: per-network RHS and Jacobian evals/sec for the
-       boxed baseline and the flat CSR kernel, and their ratio
-       ("speedup"); both kernels are evaluated at the same
-       mid-trajectory state and agree bitwise (asserted here and in the
-       test suite). The lu_ fields measure the stiff path's linear algebra
+   JSON schema (mrsc-bench-ode/4):
+     kernel.networks[]: per-network RHS and in-place Jacobian evals/sec
+       of the flat CSR kernel at a mid-trajectory state ("rhs_per_s",
+       "jacobian_per_s"). The lu_ fields measure the stiff path's linear algebra
        at that state, W = I - gamma h J with h the last step Rosenbrock
        accepted before it: "lu_per_s" is one Lu.refactor plus two solves
        per iteration, "lu_nnz" the nonzeros of L + U, "lu_madds" the
@@ -51,9 +49,7 @@ type kernel_row = {
   n_species : int;
   n_reactions : int;
   jac_nnz : int;
-  rhs_ref : float;  (* evals/sec *)
-  rhs_csr : float;
-  jac_ref : float;
+  rhs_csr : float;  (* evals/sec *)
   jac_csr : float;
   lu_per_s : float;  (* refactor + two solves per second *)
   lu_nnz : int;
@@ -82,20 +78,12 @@ let bench_kernel ~quick ~name build =
   let net = build () in
   let env = Crn.Rates.default_env in
   let sys = Ode.Deriv.compile env net in
-  let refsys = Ode.Deriv.Reference.compile env net in
   let n = Ode.Deriv.dim sys in
   (* a mid-trajectory state, so fluxes are nonzero and representative *)
   let x, h = state_and_step sys net in
   let dx = Array.make n 0. in
-  let dx' = Array.make n 0. in
-  (* the two kernels must agree bitwise before we bother timing them *)
-  Ode.Deriv.f sys 0. x dx;
-  Ode.Deriv.Reference.f refsys 0. x dx';
-  if dx <> dx' then failwith (name ^ ": CSR RHS disagrees with reference");
   let jac = Numeric.Mat.create n n 0. in
   Ode.Deriv.jacobian_into sys x jac;
-  if jac <> Ode.Deriv.Reference.jacobian refsys x then
-    failwith (name ^ ": CSR Jacobian disagrees with reference");
   let floor_s = if quick then 0.1 else 0.5 in
   let rhs_batch = 20_000 and jac_batch = 2_000 in
   let throughput ~batch f =
@@ -106,15 +94,8 @@ let bench_kernel ~quick ~name build =
   ignore (time_throughput ~floor_s:(floor_s /. 5.) ~batch:rhs_batch (fun () ->
       Ode.Deriv.f sys 0. x dx));
   let rhs_csr = throughput ~batch:rhs_batch (fun () -> Ode.Deriv.f sys 0. x dx) in
-  let rhs_ref =
-    throughput ~batch:rhs_batch (fun () -> Ode.Deriv.Reference.f refsys 0. x dx')
-  in
   let jac_csr =
     throughput ~batch:jac_batch (fun () -> Ode.Deriv.jacobian_into sys x jac)
-  in
-  let jac_ref =
-    throughput ~batch:jac_batch (fun () ->
-        ignore (Ode.Deriv.Reference.jacobian refsys x))
   in
   let w =
     Numeric.Mat.init n n (fun i j ->
@@ -134,9 +115,7 @@ let bench_kernel ~quick ~name build =
       n_species = n;
       n_reactions = Ode.Deriv.n_reactions sys;
       jac_nnz = Ode.Deriv.jac_nnz sys;
-      rhs_ref;
       rhs_csr;
-      jac_ref;
       jac_csr;
       lu_per_s;
       lu_nnz = Numeric.Lu.nnz lu;
@@ -144,11 +123,10 @@ let bench_kernel ~quick ~name build =
     }
   in
   Printf.printf
-    "%-10s n=%-3d R=%-3d   RHS boxed %10.0f/s   flat %10.0f/s   speedup \
-     %.2fx   | jac boxed %8.0f/s   in-place %8.0f/s   speedup %.2fx   | LU \
-     %8.0f/s   nnz %d   madds %d of %d dense\n%!"
-    name n row.n_reactions rhs_ref rhs_csr (rhs_csr /. rhs_ref) jac_ref jac_csr
-    (jac_csr /. jac_ref) lu_per_s row.lu_nnz row.lu_madds (dense_madds n);
+    "%-10s n=%-3d R=%-3d   RHS %10.0f/s   | jacobian %8.0f/s   | LU %8.0f/s   \
+     nnz %d   madds %d of %d dense\n%!"
+    name n row.n_reactions rhs_csr jac_csr lu_per_s row.lu_nnz row.lu_madds
+    (dense_madds n);
   row
 
 (* One scaling-matrix row: the same sweep at one requested job count.
@@ -222,16 +200,10 @@ let json_kernel_row b r =
     (Printf.sprintf
        "    {\"network\": %S, \"n_species\": %d, \"n_reactions\": %d, \
         \"jac_nnz\": %d,\n\
-       \     \"rhs\": {\"baseline_evals_per_sec\": %.1f, \
-        \"csr_evals_per_sec\": %.1f, \"speedup\": %.3f},\n\
-       \     \"jacobian\": {\"baseline_evals_per_sec\": %.1f, \
-        \"inplace_evals_per_sec\": %.1f, \"speedup\": %.3f},\n\
+       \     \"rhs_per_s\": %.1f, \"jacobian_per_s\": %.1f,\n\
        \     \"lu_per_s\": %.1f, \"lu_nnz\": %d, \"lu_madds\": %d, \
         \"lu_dense_madds\": %d}"
-       r.network r.n_species r.n_reactions r.jac_nnz r.rhs_ref r.rhs_csr
-       (r.rhs_csr /. r.rhs_ref)
-       r.jac_ref r.jac_csr
-       (r.jac_csr /. r.jac_ref)
+       r.network r.n_species r.n_reactions r.jac_nnz r.rhs_csr r.jac_csr
        r.lu_per_s r.lu_nnz r.lu_madds (dense_madds r.n_species))
 
 let json_sweep_row b r =
@@ -248,7 +220,7 @@ let json_sweep_row b r =
 
 let write_json ~path kernel_rows sweep_rows =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"mrsc-bench-ode/3\",\n";
+  Buffer.add_string b "{\n  \"schema\": \"mrsc-bench-ode/4\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"recommended_domains\": %d,\n  \"host\": %s,\n"
        (Numeric.Domain_pool.default_jobs ())

@@ -107,6 +107,14 @@ let start_fleet ~served ~dir ~shards ~jobs_per_shard
   wait ();
   { stop; domain; addr }
 
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 let stop_fleet f =
   Atomic.set f.stop true;
   Domain.join f.domain
@@ -585,6 +593,9 @@ let () =
       (Unix.getpid ())
   in
   (try Unix.mkdir dirbase 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  (* every scenario stops its fleet before it returns or raises, so at
+     exit nothing is left running in the directory *)
+  at_exit (fun () -> rm_rf dirbase);
   let served = !served in
   let scaling = scenario_scaling ~served ~dirbase ~smoke in
   let affinity = scenario_affinity ~served ~dirbase ~smoke in

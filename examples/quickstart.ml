@@ -46,5 +46,11 @@ let () =
     [ 10.; 1000.; 100000. ];
 
   (* 6. and survives discrete molecular noise: Gillespie simulation *)
-  let mean, std = Ssa.Gillespie.mean_final ~runs:10 ~t1:8. net (Crn.Network.species_name net z) in
-  Printf.printf "stochastic (10 runs): Z = %.2f +/- %.2f\n" mean std
+  let model = Ssa.Gillespie.compile_model Crn.Rates.default_env net in
+  let zs =
+    Ssa.Ensemble.map_with ~runs:10
+      ~init_worker:(fun () -> Ssa.Gillespie.make_arena model)
+      (fun arena _ seed -> (Ssa.Gillespie.run ~seed ~arena ~t1:8. net).final.(z))
+  in
+  Printf.printf "stochastic (10 runs): Z = %.2f +/- %.2f\n"
+    (Numeric.Stats.mean zs) (Numeric.Stats.stddev zs)

@@ -4,16 +4,16 @@
    The engine runs in one of two modes and switches between them at
    repartition checkpoints:
 
-   - Discrete mode (no fast reactions): literally the Gillespie direct
-     method on the shared incremental-propensity engine (Ssa.Prop_engine)
-     — the loop below mirrors Ssa.Gillespie statement for statement and
-     draws the RNG in the same order, so while every reaction stays slow
-     the trajectory is bitwise identical to pure Gillespie at the same
-     seed. Checkpoints only read counts and propensities (no RNG, no
-     float mutation), so they cannot perturb the trajectory.
+   - Discrete mode (no fast reactions): the Gillespie direct method — each
+     event is Ssa.Prop_engine.event, the one Ssa.Gillespie runs, on the
+     same sample clock — so while every reaction stays slow the trajectory
+     is bitwise identical to pure Gillespie at the same seed. Checkpoints
+     only read counts and propensities (no RNG, no float mutation), so
+     they cannot perturb the trajectory.
 
    - Mixed mode (some reactions fast): state becomes a float vector; the
-     fast partition advances by in-place RK4 on the CSR vector field
+     fast partition advances by in-place RK4 (Ode.Fixed.rk4_slice, the
+     stages of Ode.Fixed.rk4_step) on the CSR vector field
      restricted to it (Ode.Deriv.with_k with the slow rate constants
      zeroed and the fast ones divided by the reactant-permutation factor,
      so the deterministic flux agrees with the combinatorial propensity
@@ -115,11 +115,7 @@ type arena = {
   a_pe : Ssa.Prop_engine.t;
   a_props : float array;  (* per-reaction propensities, mixed mode *)
   a_masked : float array;  (* rate vector with the slow partition zeroed *)
-  a_k1 : float array;  (* RK4 scratch *)
-  a_k2 : float array;
-  a_k3 : float array;
-  a_k4 : float array;
-  a_ytmp : float array;
+  a_rk4 : Ode.Fixed.rk4_scratch;
   a_drain : float array;  (* per-species consumption rate, for the h bound *)
   a_mu : float array;  (* per-species net drift, for the h bound *)
   a_mu_slow : float array;  (* per-species slow-channel turnover, tau bound *)
@@ -137,11 +133,7 @@ let make_arena m =
     a_pe = Ssa.Prop_engine.make m.reactions m.deps;
     a_props = Array.make nr 0.;
     a_masked = Array.make nr 0.;
-    a_k1 = Array.make n 0.;
-    a_k2 = Array.make n 0.;
-    a_k3 = Array.make n 0.;
-    a_k4 = Array.make n 0.;
-    a_ytmp = Array.make n 0.;
+    a_rk4 = Ode.Fixed.rk4_scratch n;
     a_drain = Array.make n 0.;
     a_mu = Array.make n 0.;
     a_mu_slow = Array.make n 0.;
@@ -191,13 +183,6 @@ type checkpoint = {
   ck_trace : Ode.Trace.t;
 }
 
-let copy_trace tr =
-  let fresh = Ode.Trace.create ~names:(Ode.Trace.names tr) in
-  Array.iteri
-    (fun i t -> Ode.Trace.record fresh t (Ode.Trace.state_at_index tr i))
-    (Ode.Trace.times tr);
-  fresh
-
 let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
     ?(pop_threshold = 1000.) ?(prop_threshold = 1000.)
     ?(repartition_every = 256) ?(epsilon = 0.05) ?(tau_switch = 8.)
@@ -215,12 +200,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
   if tau_switch < 1. then invalid_arg "Hybrid.run: tau_switch must be >= 1";
   if refresh_every < 1 then
     invalid_arg "Hybrid.run: refresh_every must be >= 1";
-  let sample_dt =
-    match sample_dt with
-    | Some dt when dt > 0. -> dt
-    | Some _ -> invalid_arg "Hybrid.run: sample_dt must be positive"
-    | None -> t1 /. 500.
-  in
+  let clk = Ode.Trace.clock ~who:"Hybrid.run" ?sample_dt t1 in
   let rng = Rng.create seed in
   let model =
     match (arena, model) with
@@ -235,18 +215,14 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
   let reactions = model.reactions in
   let m = model.n_reactions and n = model.n_species in
   let counts = ar.a_counts and x = ar.a_x in
-  for i = 0 to n - 1 do
-    counts.(i) <- int_of_float (Float.round init.(i))
-  done;
+  Array.iteri (fun i v -> counts.(i) <- int_of_float (Float.round v)) init;
   let pe = ar.a_pe and part = ar.a_part and props = ar.a_props in
   Partition.reset part;
   let trace =
     match resume with
-    | Some ck -> copy_trace ck.ck_trace
+    | Some ck -> Ode.Trace.copy ck.ck_trace
     | None -> Ode.Trace.create ~names:(Crn.Network.species_names net)
   in
-  let t = ref 0. in
-  let next_sample = ref 0. in
   let failure = ref None in
   (* counters *)
   let n_ssa = ref 0
@@ -272,15 +248,10 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
   let snapshot () =
     if !mixed then Array.copy x else Array.map float_of_int counts
   in
-  let record_due_samples () =
-    while !next_sample <= !t && !next_sample <= t1 +. 1e-12 do
-      Ode.Trace.record trace !next_sample (snapshot ());
-      next_sample := !next_sample +. sample_dt
-    done
-  in
+  let record_due_samples () = Ode.Trace.record_due trace clk snapshot in
   let budget_check () =
     if work () >= max_events then begin
-      failure := Some (Max_events_exceeded { max_events; t = !t });
+      failure := Some (Max_events_exceeded { max_events; t = clk.now });
       raise Stop
     end
   in
@@ -340,27 +311,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
   (* in-place classic RK4 slice of length [h] on the masked vector field;
      continuous species are clamped against tiny negative overshoot *)
   let rk4_slice h =
-    let fsys = !fsys in
-    let k1 = ar.a_k1 and k2 = ar.a_k2 and k3 = ar.a_k3 and k4 = ar.a_k4 in
-    let y = ar.a_ytmp in
-    Ode.Deriv.f fsys 0. x k1;
-    for i = 0 to n - 1 do
-      y.(i) <- x.(i) +. (0.5 *. h *. k1.(i))
-    done;
-    Ode.Deriv.f fsys 0. y k2;
-    for i = 0 to n - 1 do
-      y.(i) <- x.(i) +. (0.5 *. h *. k2.(i))
-    done;
-    Ode.Deriv.f fsys 0. y k3;
-    for i = 0 to n - 1 do
-      y.(i) <- x.(i) +. (h *. k3.(i))
-    done;
-    Ode.Deriv.f fsys 0. y k4;
-    for i = 0 to n - 1 do
-      x.(i) <-
-        x.(i)
-        +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i)))
-    done;
+    Ode.Fixed.rk4_slice ar.a_rk4 !fsys x h;
     incr n_ode
   in
   (* [choose_h]'s stability bound is computed from the propensities at the
@@ -465,7 +416,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
     done;
     let h_stab = if !lam > 0. then 0.8 /. !lam else infinity in
     let h = Float.min h_stab !h_acc in
-    let h = Float.min h sample_dt in
+    let h = Float.min h clk.every in
     Float.max h (1e-12 *. t1)
   in
   (* Cao-style bound on the slow channel for the tau gear: a leap of
@@ -572,7 +523,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
       if a0 <= 0. then begin
         if !left > 0. then rk4 !left;
         clamp ();
-        t := !t +. !left;
+        clk.now <- clk.now +. !left;
         left := 0.;
         continue_ := false
       end
@@ -582,14 +533,14 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
           g_int := !g_int +. (a0 *. !left);
           rk4 !left;
           clamp ();
-          t := !t +. !left;
+          clk.now <- clk.now +. !left;
           left := 0.;
           continue_ := false
         end
         else begin
           if dt_ev > 0. then rk4 dt_ev;
           clamp ();
-          t := !t +. dt_ev;
+          clk.now <- clk.now +. dt_ev;
           left := !left -. dt_ev;
           record_due_samples ();
           let u = Rng.float rng in
@@ -647,7 +598,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
       done;
       if !ok then begin
         accepted := true;
-        t := !t +. !h;
+        clk.now <- clk.now +. !h;
         incr n_tau_leaps;
         n_tau_events := !n_tau_events + !fired;
         (* the bulk firing invalidates the running propensity integral *)
@@ -664,10 +615,9 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
     if not !accepted then exact_substep h0
   in
   (* ------------------------------------------------ discrete-mode loop *)
-  (* mirrors Ssa.Gillespie.run_result statement for statement (same RNG
-     order, same float operations) plus the checkpoint, which reads state
-     but never mutates it — bitwise-identical trajectories while no
-     reaction is promoted *)
+  (* Gillespie's loop on Gillespie's event (Ssa.Prop_engine.event) plus
+     the checkpoint, which reads state but never mutates it —
+     bitwise-identical trajectories while no reaction is promoted *)
   let first_entry = ref true in
   (* the per-stretch loop counter and the discrete 'first' latch live
      outside the mode functions so a checkpoint can capture them; a
@@ -685,7 +635,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
       first_entry := false
     end;
     let first = !disc_first in
-    while !t < t1 do
+    while clk.now < t1 do
       budget_check ();
       if !events_here land 511 = 0 then Numeric.Cancel.guard cancel;
       if !events_here mod repartition_every = 0 && (!events_here > 0 || first)
@@ -697,34 +647,11 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
         if !promote_hold > 0 then decr promote_hold
         else if part.Partition.n_fast > 0 then raise Switch_mode
       end;
-      if pe.Ssa.Prop_engine.since_refresh >= refresh_every then
-        Ssa.Prop_engine.refresh pe counts;
-      if Ssa.Prop_engine.total pe <= 0. then begin
-        Ssa.Prop_engine.refresh pe counts;
-        if Ssa.Prop_engine.total pe <= 0. then begin
-          (* no reaction can fire: hold state to the end *)
-          t := t1;
-          record_due_samples ();
-          raise Stop
-        end
-      end;
-      let dt = Rng.exponential rng (Ssa.Prop_engine.total pe) in
-      t := !t +. dt;
-      if !t > t1 then begin
-        t := t1;
-        record_due_samples ();
-        raise Stop
-      end;
-      record_due_samples ();
-      let u = Rng.float rng in
-      let j = Ssa.Prop_engine.select pe counts u in
-      if j < 0 then begin
-        t := t1;
-        record_due_samples ();
-        raise Stop
-      end;
-      Ssa.Compiled.apply reactions.(j) counts 1;
-      Ssa.Prop_engine.update pe counts j;
+      if
+        not
+          (Ssa.Prop_engine.event pe rng counts ~refresh_every clk
+             ~sample:record_due_samples)
+      then raise Stop;
       incr n_ssa;
       incr events_here
     done;
@@ -737,8 +664,8 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
     while true do
       budget_check ();
       Numeric.Cancel.guard cancel;
-      if t1 -. !t <= 1e-12 *. Float.max t1 1. then begin
-        t := t1;
+      if t1 -. clk.now <= 1e-12 *. Float.max t1 1. then begin
+        clk.now <- t1;
         record_due_samples ();
         raise Stop
       end;
@@ -750,7 +677,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
       else compute_all_props ();
       incr substeps_here;
       let a0 = sum_slow () in
-      let h = Float.min (choose_h ()) (t1 -. !t) in
+      let h = Float.min (choose_h ()) (t1 -. clk.now) in
       if a0 *. h > tau_switch then begin
         (* many slow events expected: leap, but first cap the leap so the
            Poisson draws cannot overdraw a small pool. If even the capped
@@ -784,8 +711,8 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
       then invalid_arg "Hybrid.run: checkpoint partition shape mismatch";
       Array.blit ck.ck_counts 0 counts 0 n;
       Array.blit ck.ck_x 0 x 0 n;
-      t := ck.ck_t;
-      next_sample := ck.ck_next_sample;
+      clk.now <- ck.ck_t;
+      clk.next <- ck.ck_next_sample;
       g_int := ck.ck_g_int;
       target := ck.ck_target;
       Rng.set_state rng ck.ck_rng;
@@ -814,8 +741,8 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
       ck_mixed = !mixed;
       ck_counts = Array.copy counts;
       ck_x = Array.copy x;
-      ck_t = !t;
-      ck_next_sample = !next_sample;
+      ck_t = clk.now;
+      ck_next_sample = clk.next;
       ck_g_int = !g_int;
       ck_target = !target;
       ck_rng = Rng.state rng;
@@ -882,28 +809,3 @@ let run ?env ?seed ?sample_dt ?pop_threshold ?prop_threshold
   with
   | Ok r -> r
   | Stdlib.Error err -> raise (Error err)
-
-let mean_final ?(env = Crn.Rates.default_env) ?(runs = 20) ?jobs ?(seed = 42L)
-    ?pop_threshold ?prop_threshold ?repartition_every ?epsilon ?tau_switch
-    ?max_events ~t1 net species =
-  if runs < 1 then invalid_arg "Hybrid.mean_final: runs must be >= 1";
-  let idx =
-    match Crn.Network.find_species net species with
-    | Some i -> i
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Hybrid.mean_final: unknown species %S" species)
-  in
-  let model = compile_model env net in
-  let xs =
-    Ssa.Ensemble.map_with ?jobs ~seed
-      ~init_worker:(fun () -> make_arena model)
-      ~runs
-      (fun arena _ s ->
-        let r =
-          run ~seed:s ?pop_threshold ?prop_threshold ?repartition_every
-            ?epsilon ?tau_switch ?max_events ~arena ~t1 net
-        in
-        r.final.(idx))
-  in
-  (Numeric.Stats.mean xs, Numeric.Stats.stddev xs)

@@ -16,10 +16,10 @@
     back to the exact subset.
 
     Two exactness anchors:
-    - while {e no} reaction qualifies as fast, the engine runs literally
-      the Gillespie direct method on the shared {!Ssa.Prop_engine} with
-      the same RNG draw order — trajectories are {e bitwise identical} to
-      {!Ssa.Gillespie} at the same seed;
+    - while {e no} reaction qualifies as fast, each step is
+      {!Ssa.Prop_engine.event}, the event {!Ssa.Gillespie} runs, on the
+      same sample clock — trajectories are {e bitwise identical} to
+      {!Ssa.Gillespie} at the same seed by construction;
     - runs are a pure function of the seed (checkpoints consume no
       randomness), so {!Ssa.Ensemble} fan-outs are byte-identical for any
       jobs × chunk combination. *)
@@ -170,24 +170,3 @@ val run :
   Crn.Network.t ->
   result
 (** Like {!run_result} but raises {!Error} on an exhausted work budget. *)
-
-val mean_final :
-  ?env:Crn.Rates.env ->
-  ?runs:int ->
-  ?jobs:int ->
-  ?seed:int64 ->
-  ?pop_threshold:float ->
-  ?prop_threshold:float ->
-  ?repartition_every:int ->
-  ?epsilon:float ->
-  ?tau_switch:float ->
-  ?max_events:int ->
-  t1:float ->
-  Crn.Network.t ->
-  string ->
-  float * float
-(** Hybrid counterpart of {!Ssa.Gillespie.mean_final}: [runs] (default
-    20) trajectories with split seed streams fanned over [jobs] domains,
-    model compiled once, one arena per worker; returns mean and sample
-    standard deviation of the species' final value. Byte-identical for
-    every [jobs] value. *)

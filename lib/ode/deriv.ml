@@ -3,92 +3,9 @@
    offsets array delimiting each reaction's slice. The inner loops then
    run over contiguous memory with unsafe accesses — no per-reaction
    record to chase, no bounds checks — which is what the dense
-   rate-robustness sweeps hammer.
-
-   [Reference] keeps the original boxed-record walk, compiled from the
-   same network in the same order with identical arithmetic ordering, so
-   the flat kernel can be checked for *bitwise* agreement (tests) and
-   benchmarked against the pre-optimization baseline (bench_ode). *)
-
-module Reference = struct
-  type reaction = {
-    k : float;
-    reactant_species : int array;
-    reactant_coeff : int array;
-    net_species : int array;
-    net_coeff : float array;
-  }
-
-  type t = { n : int; reactions : reaction array }
-
-  let compile env net =
-    let compile_reaction r =
-      let reactants = Array.of_list r.Crn.Reaction.reactants in
-      let net_list = Crn.Reaction.net_stoich r in
-      {
-        k = Crn.Rates.value env r.Crn.Reaction.rate;
-        reactant_species = Array.map fst reactants;
-        reactant_coeff = Array.map snd reactants;
-        net_species = Array.of_list (List.map fst net_list);
-        net_coeff =
-          Array.of_list (List.map (fun (_, c) -> float_of_int c) net_list);
-      }
-    in
-    {
-      n = Crn.Network.n_species net;
-      reactions = Array.map compile_reaction (Crn.Network.reactions net);
-    }
-
-  let dim sys = sys.n
-
-  let pow_int x c =
-    match c with
-    | 1 -> x
-    | 2 -> x *. x
-    | 3 -> x *. x *. x
-    | _ -> x ** float_of_int c
-
-  let flux_of r x =
-    let acc = ref r.k in
-    for i = 0 to Array.length r.reactant_species - 1 do
-      acc := !acc *. pow_int x.(r.reactant_species.(i)) r.reactant_coeff.(i)
-    done;
-    !acc
-
-  let f sys _t x dx =
-    Numeric.Vec.fill dx 0.;
-    Array.iter
-      (fun r ->
-        let v = flux_of r x in
-        for i = 0 to Array.length r.net_species - 1 do
-          let s = r.net_species.(i) in
-          dx.(s) <- dx.(s) +. (v *. r.net_coeff.(i))
-        done)
-      sys.reactions
-
-  let jacobian sys x =
-    let jac = Numeric.Mat.create sys.n sys.n 0. in
-    Array.iter
-      (fun r ->
-        (* d flux / d x_j = k * c_j * x_j^(c_j - 1) * prod_{i<>j} x_i^c_i *)
-        let m = Array.length r.reactant_species in
-        for jj = 0 to m - 1 do
-          let sj = r.reactant_species.(jj) in
-          let cj = r.reactant_coeff.(jj) in
-          let d = ref (r.k *. float_of_int cj) in
-          if cj > 1 then d := !d *. pow_int x.(sj) (cj - 1);
-          for ii = 0 to m - 1 do
-            if ii <> jj then
-              d := !d *. pow_int x.(r.reactant_species.(ii)) r.reactant_coeff.(ii)
-          done;
-          for i = 0 to Array.length r.net_species - 1 do
-            let s = r.net_species.(i) in
-            jac.(s).(sj) <- jac.(s).(sj) +. (!d *. r.net_coeff.(i))
-          done
-        done)
-      sys.reactions;
-    jac
-end
+   rate-robustness sweeps hammer. The test suite keeps the original
+   boxed-record walk (test/deriv_reference.ml) and checks this kernel
+   against it bitwise. *)
 
 type t = {
   n : int;  (** species *)
@@ -182,8 +99,6 @@ let with_k sys k =
     invalid_arg "Deriv.with_k: rate vector length must equal n_reactions";
   { sys with k = Array.copy k }
 
-let rate_constants sys = Array.copy sys.k
-
 let dim sys = sys.n
 let n_reactions sys = sys.nr
 
@@ -208,7 +123,8 @@ let[@inline] factor_unsafe r_sp r_co x i =
    arrays is in range by construction, so accesses are unchecked. The
    0/1/2-reactant cases (all of mass-action chemistry in practice) are
    straight-line float code with no accumulator cell; the left-to-right
-   multiply order matches [Reference.flux_of] bitwise. *)
+   multiply order matches the boxed reference's (test/deriv_reference.ml)
+   bitwise. *)
 let[@inline] flux_unsafe sys x r =
   let r_sp = sys.r_sp and r_co = sys.r_co in
   let lo = Array.unsafe_get sys.r_off r in

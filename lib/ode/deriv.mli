@@ -9,10 +9,8 @@
     arrays of reactant indices/coefficients and net-stoichiometry updates
     delimited by per-reaction offsets — walked with unchecked accesses,
     so the inner simulation loop allocates nothing and chases no
-    per-reaction pointers. {!Reference} retains the original boxed-record
-    implementation with identical arithmetic ordering; the test suite
-    checks the flat kernel against it bitwise, and [bench_ode] measures
-    the speedup. *)
+    per-reaction pointers. The test suite checks it bitwise against the
+    original boxed-record implementation, which it keeps. *)
 
 type t
 
@@ -29,12 +27,8 @@ val with_k : t -> float array -> t
 (** [with_k sys k] replaces the baked rate constants with [k] (length
     {!n_reactions}; the array is copied), sharing every structural array
     like {!with_env}. This is how the hybrid engine restricts the vector
-    field to its fast partition: take {!rate_constants}, zero the slow
-    reactions' entries, re-bake. *)
-
-val rate_constants : t -> float array
-(** A copy of the currently baked per-reaction rate constants, indexed in
-    reaction-compilation order (the {!flux} index order). *)
+    field to its fast partition: zero the slow reactions' entries of its
+    deterministic rate constants, re-bake. *)
 
 val dim : t -> int
 (** Number of species. *)
@@ -70,17 +64,3 @@ val flux : t -> Numeric.Vec.t -> int -> float
 (** Instantaneous flux of reaction [i] at a state (for diagnostics). *)
 
 val n_reactions : t -> int
-
-(** The retained pre-optimization implementation: an array of boxed
-    per-reaction records, walked with bounds-checked accesses. Same
-    compilation order and arithmetic ordering as the flat kernel, so
-    results agree bitwise; kept as the qcheck/golden oracle and the
-    benchmark baseline. *)
-module Reference : sig
-  type t
-
-  val compile : Crn.Rates.env -> Crn.Network.t -> t
-  val dim : t -> int
-  val f : t -> float -> Numeric.Vec.t -> Numeric.Vec.t -> unit
-  val jacobian : t -> Numeric.Vec.t -> Numeric.Mat.t
-end

@@ -95,24 +95,41 @@ let integrate method_ ?rtol ?atol ~cancel ~ws ?resume ?on_cancel ~t0 ~t1
       in
       (x', Fixed_work { steps = max 0 !steps })
 
-let run_segment method_ ~rtol ~atol ~cancel ~ws ~t0 ~t1 ~on_sample sys x =
-  if t1 <= t0 then Array.copy x
-  else
-    fst
-      (integrate method_ ?rtol ?atol ~cancel ~ws ~t0 ~t1 ~on_sample sys x)
+(* Counters of a run that integrated nothing, and of two segments
+   together. *)
+let no_work = function
+  | Dopri5 -> Dopri5_work { steps = 0; rejected = 0; evals = 0 }
+  | Rosenbrock ->
+      Rosenbrock_work
+        {
+          steps = 0;
+          rejected = 0;
+          factorizations = 0;
+          jac_evals = 0;
+          jac_reused = 0;
+        }
+  | Rk4 _ -> Fixed_work { steps = 0 }
 
-(* The trace recording rule every entry point shares: a boundary is
-   always recorded and restarts the countdown, and only every [thin]-th
-   accepted step after it is kept. *)
-let thinning ~thin ~countdown record =
-  let record_boundary t x =
-    record t x;
-    countdown := thin - 1
-  in
-  let record_step t x =
-    if !countdown <= 0 then record_boundary t x else decr countdown
-  in
-  (record_boundary, record_step)
+let add_work a b =
+  match (a, b) with
+  | Dopri5_work a, Dopri5_work b ->
+      Dopri5_work
+        {
+          steps = a.steps + b.steps;
+          rejected = a.rejected + b.rejected;
+          evals = a.evals + b.evals;
+        }
+  | Rosenbrock_work a, Rosenbrock_work b ->
+      Rosenbrock_work
+        {
+          steps = a.steps + b.steps;
+          rejected = a.rejected + b.rejected;
+          factorizations = a.factorizations + b.factorizations;
+          jac_evals = a.jac_evals + b.jac_evals;
+          jac_reused = a.jac_reused + b.jac_reused;
+        }
+  | Fixed_work a, Fixed_work b -> Fixed_work { steps = a.steps + b.steps }
+  | _ -> invalid_arg "Driver: work of two methods"
 
 let prepare net injections =
   let resolve { at; species; amount } =
@@ -126,9 +143,16 @@ let prepare net injections =
   List.map resolve injections
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let simulate_gen ~record_step ~record_boundary ?(method_ = Dopri5) ?rtol
-    ?atol ?(env = Crn.Rates.default_env) ?(injections = []) ?sys ?ws
-    ?(cancel = Numeric.Cancel.never) ~t1 net =
+type checkpoint = {
+  ck_method : method_state;
+  ck_countdown : int;
+  ck_trace : Trace.t;
+}
+
+let run ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env)
+    ?(injections = []) ?sys ?ws ?(cancel = Numeric.Cancel.never) ?(thin = 1)
+    ?resume ?on_cancel ?trace ?on_sample ~t1 net =
+  if thin < 1 then invalid_arg "Driver.run: thin must be >= 1";
   (* [sys] lets a caller (the simulation service) reuse a cached compiled
      model; it must have been compiled from this [net] under [env] *)
   let sys = match sys with Some s -> s | None -> Deriv.compile env net in
@@ -139,68 +163,10 @@ let simulate_gen ~record_step ~record_boundary ?(method_ = Dopri5) ?rtol
   let events =
     List.filter (fun (at, _, _) -> at < t1) (prepare net injections)
   in
-  let x = ref (Crn.Network.initial_state net) in
-  let t = ref 0. in
-  (* segments between consecutive injection times, then the tail; the
-     integrator's sample at a segment's start is skipped because the
-     previous segment (or the manual initial record) already emitted it *)
-  let run_to t_end =
-    let first = ref true in
-    let on_sample ts xs =
-      if !first then first := false else record_step ts xs
-    in
-    x :=
-      run_segment method_ ~rtol ~atol ~cancel ~ws ~t0:!t ~t1:t_end ~on_sample
-        sys !x;
-    t := t_end
-  in
-  record_boundary 0. !x;
-  List.iter
-    (fun (at, sp, amount) ->
-      run_to at;
-      !x.(sp) <- !x.(sp) +. amount;
-      record_boundary !t !x)
-    events;
-  run_to t1;
-  !x
-
-let simulate ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel
-    ?(thin = 1) ~t1 net =
-  if thin < 1 then invalid_arg "Driver.simulate: thin must be >= 1";
-  let trace = Trace.create ~names:(Crn.Network.species_names net) in
-  let record_boundary, record_step =
-    thinning ~thin ~countdown:(ref 0) (Trace.record trace)
-  in
-  let final =
-    simulate_gen ~record_step ~record_boundary ?method_ ?rtol ?atol ?env
-      ?injections ?sys ?ws ?cancel ~t1 net
-  in
-  (* always include the final state even when thinning dropped it *)
-  if Trace.length trace = 0 || Trace.last_time trace < t1 then
-    Trace.record trace t1 final;
-  trace
-
-let final_state ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel ~t1 net
-    =
-  let drop _ _ = () in
-  simulate_gen ~record_step:drop ~record_boundary:drop ?method_ ?rtol ?atol
-    ?env ?injections ?sys ?ws ?cancel ~t1 net
-
-type checkpoint = {
-  ck_method : method_state;
-  ck_countdown : int;
-  ck_trace : Trace.t;
-}
-
-let run ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env) ?sys
-    ?ws ?(cancel = Numeric.Cancel.never) ?(thin = 1) ?resume ?on_cancel ?trace
-    ?on_sample ~t1 net =
-  if thin < 1 then invalid_arg "Driver.run: thin must be >= 1";
-  let sys = match sys with Some s -> s | None -> Deriv.compile env net in
-  (match ws with
-  | Some w when w.w_n <> Deriv.dim sys ->
-      invalid_arg "Driver: workspace dimension mismatch"
-  | _ -> ());
+  (* a checkpoint resumes one segment, so a run with injections takes
+     none and restores none *)
+  if events <> [] && (Option.is_some resume || Option.is_some on_cancel) then
+    invalid_arg "Driver.run: injections cannot be checkpointed";
   (match (resume, method_) with
   | Some { ck_method = Ck_dopri5 _; _ }, Dopri5
   | Some { ck_method = Ck_rosenbrock _; _ }, Rosenbrock
@@ -222,17 +188,19 @@ let run ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env) ?sys
         (fun i t -> record t (Trace.state_at_index ck.ck_trace i))
         (Trace.times ck.ck_trace))
     resume;
+  (* the recording rule: a boundary (the start, an injection) is always
+     recorded and restarts the countdown, and only every [thin]-th
+     accepted step after it is kept *)
   let countdown =
     ref (match resume with Some ck -> ck.ck_countdown | None -> 0)
   in
-  let record_boundary, record_step = thinning ~thin ~countdown record in
-  (* only a fresh run skips the integrator's t0 echo (the manual initial
-     record covers it); a resumed integrator emits no echo, so its first
-     sample is a real accepted step that must be recorded *)
-  let first = ref (Option.is_none resume) in
-  let on_sample ts xs = if !first then first := false else record_step ts xs in
-  let x0 = Crn.Network.initial_state net in
-  if Option.is_none resume then record_boundary 0. x0;
+  let record_boundary t x =
+    record t x;
+    countdown := thin - 1
+  in
+  let record_step t x =
+    if !countdown <= 0 then record_boundary t x else decr countdown
+  in
   let on_cancel =
     Option.map
       (fun f ck_method ->
@@ -247,19 +215,52 @@ let run ?(method_ = Dopri5) ?rtol ?atol ?(env = Crn.Rates.default_env) ?sys
           })
       on_cancel
   in
+  (* one segment from [t0] to [t_end]; a fresh integrator echoes its
+     start, which the boundary record before it already emitted, while a
+     resumed one emits no echo, so its first sample is a real step *)
+  let segment ?resume t0 t_end (x, work) =
+    if t_end <= t0 then (Array.copy x, work)
+    else
+      let first = ref (Option.is_none resume) in
+      let on_sample ts xs =
+        if !first then first := false else record_step ts xs
+      in
+      let x, w =
+        integrate method_ ?rtol ?atol ~cancel ~ws ?resume ?on_cancel ~t0
+          ~t1:t_end ~on_sample sys x
+      in
+      (x, add_work work w)
+  in
+  let x0 = Crn.Network.initial_state net in
+  if Option.is_none resume then record_boundary 0. x0;
+  let t, x, work =
+    List.fold_left
+      (fun (t, x, work) (at, sp, amount) ->
+        let x, work = segment t at (x, work) in
+        x.(sp) <- x.(sp) +. amount;
+        record_boundary at x;
+        (at, x, work))
+      (0., x0, no_work method_)
+      events
+  in
   let final, work =
-    integrate method_ ?rtol ?atol ~cancel ~ws
+    segment
       ?resume:(Option.map (fun ck -> ck.ck_method) resume)
-      ?on_cancel ~t0:0. ~t1 ~on_sample sys x0
+      t t1 (x, work)
   in
   (* always include the final state even when thinning dropped it *)
   if !last < t1 then record t1 final;
   (final, work)
 
-let simulate_ck ?method_ ?rtol ?atol ?env ?sys ?ws ?cancel ?thin ?resume
-    ?on_cancel ~t1 net =
+let simulate ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel
+    ?(thin = 1) ~t1 net =
+  if thin < 1 then invalid_arg "Driver.simulate: thin must be >= 1";
   let trace = Trace.create ~names:(Crn.Network.species_names net) in
   ignore
-    (run ?method_ ?rtol ?atol ?env ?sys ?ws ?cancel ?thin ?resume ?on_cancel
-       ~trace ~t1 net);
+    (run ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel ~thin ~trace
+       ~t1 net);
   trace
+
+let final_state ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel ~t1 net
+    =
+  fst (run ?method_ ?rtol ?atol ?env ?injections ?sys ?ws ?cancel ~t1 net)

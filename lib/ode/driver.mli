@@ -86,6 +86,7 @@ val run :
   ?rtol:float ->
   ?atol:float ->
   ?env:Crn.Rates.env ->
+  ?injections:injection list ->
   ?sys:Deriv.t ->
   ?ws:workspace ->
   ?cancel:Numeric.Cancel.t ->
@@ -97,38 +98,23 @@ val run :
   t1:float ->
   Crn.Network.t ->
   Numeric.Vec.t * work
-(** One checkpointable segment from [0.] to [t1]; returns the final
-    state and the integrator's work counters. The recorded samples — the
-    initial state, every [thin]-th accepted step, and the final state
-    when thinning dropped it; on [resume], first the checkpoint's own
-    recorded samples — go to [trace] and to [on_sample] as they are
+(** The one integration loop behind {!simulate} and {!final_state}: from
+    [0.] to [t1], one integrator segment between consecutive injection
+    times and one after the last; returns the final state and the
+    integrator's work counters summed over the segments. The recorded
+    samples — the initial state, the post-injection state at each
+    injection, every [thin]-th accepted step in between, and the final
+    state when thinning dropped it; on [resume], first the checkpoint's
+    own recorded samples — go to [trace] and to [on_sample] as they are
     produced, so a consumer can stream them while the integrator runs.
-    A {!checkpoint} handed to [on_cancel] carries [trace] (an empty one
-    when absent). Raises [Invalid_argument] for [thin < 1] or a
-    checkpoint of another method. *)
-
-val simulate_ck :
-  ?method_:method_ ->
-  ?rtol:float ->
-  ?atol:float ->
-  ?env:Crn.Rates.env ->
-  ?sys:Deriv.t ->
-  ?ws:workspace ->
-  ?cancel:Numeric.Cancel.t ->
-  ?thin:int ->
-  ?resume:checkpoint ->
-  ?on_cancel:(checkpoint -> unit) ->
-  t1:float ->
-  Crn.Network.t ->
-  Trace.t
-(** Checkpointable variant of {!simulate}. Injections are not supported
-    (a checkpoint must be resumable as a single segment); everything
-    else matches {!simulate}. [on_cancel] receives the loop-top
-    {!checkpoint} when [cancel] aborts the run (the
-    {!Numeric.Cancel.Cancelled} exception still propagates); [resume]
-    restores one, continuing the trace and thinning stream exactly where
-    the capture left off. Raises [Invalid_argument] if the checkpoint's
-    method state does not match [method_]. *)
+    [on_cancel] receives the loop-top {!checkpoint} when [cancel] aborts
+    the run (the {!Numeric.Cancel.Cancelled} exception still propagates);
+    it carries [trace] (an empty one when absent). [resume] restores
+    one, continuing the trace and thinning stream exactly where the
+    capture left off. Raises [Invalid_argument] as {!simulate} does,
+    for [thin < 1], for a checkpoint of another method, and for
+    [resume] or [on_cancel] on a run with injections before [t1] (a
+    checkpoint resumes a single segment). *)
 
 val final_state :
   ?method_:method_ ->

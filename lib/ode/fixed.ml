@@ -6,28 +6,46 @@ let euler_step sys t x h =
   Numeric.Vec.axpy h dx y;
   y
 
-let rk4_step sys t x h =
-  let n = Deriv.dim sys in
-  let k1 = Array.make n 0. in
-  let k2 = Array.make n 0. in
-  let k3 = Array.make n 0. in
-  let k4 = Array.make n 0. in
-  let tmp = Array.make n 0. in
-  Deriv.f sys t x k1;
-  Numeric.Vec.blit ~src:x ~dst:tmp;
-  Numeric.Vec.axpy (h /. 2.) k1 tmp;
-  Deriv.f sys (t +. (h /. 2.)) tmp k2;
-  Numeric.Vec.blit ~src:x ~dst:tmp;
-  Numeric.Vec.axpy (h /. 2.) k2 tmp;
-  Deriv.f sys (t +. (h /. 2.)) tmp k3;
-  Numeric.Vec.blit ~src:x ~dst:tmp;
-  Numeric.Vec.axpy h k3 tmp;
-  Deriv.f sys (t +. h) tmp k4;
-  let y = Array.copy x in
+(* Stage buffers, owned by the caller so a slice allocates nothing (the
+   hybrid engine's fast partition runs one per arena). *)
+type rk4_scratch = {
+  k1 : float array;
+  k2 : float array;
+  k3 : float array;
+  k4 : float array;
+  y : float array;
+}
+
+let rk4_scratch n =
+  let v () = Array.make n 0. in
+  { k1 = v (); k2 = v (); k3 = v (); k4 = v (); y = v () }
+
+(* Mass-action fields are autonomous ([Deriv.f] ignores its time), so
+   every stage evaluates at t = 0. *)
+let rk4_slice { k1; k2; k3; k4; y } sys x h =
+  let n = Array.length x in
+  let h2 = 0.5 *. h and h6 = h /. 6. in
+  Deriv.f sys 0. x k1;
   for i = 0 to n - 1 do
-    y.(i) <-
-      y.(i) +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i)))
+    y.(i) <- x.(i) +. (h2 *. k1.(i))
   done;
+  Deriv.f sys 0. y k2;
+  for i = 0 to n - 1 do
+    y.(i) <- x.(i) +. (h2 *. k2.(i))
+  done;
+  Deriv.f sys 0. y k3;
+  for i = 0 to n - 1 do
+    y.(i) <- x.(i) +. (h *. k3.(i))
+  done;
+  Deriv.f sys 0. y k4;
+  for i = 0 to n - 1 do
+    x.(i) <-
+      x.(i) +. (h6 *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i)))
+  done
+
+let rk4_step sys _t x h =
+  let y = Array.copy x in
+  rk4_slice (rk4_scratch (Deriv.dim sys)) sys y h;
   y
 
 (* Loop-top mid-run state: the stepper is stateless between steps, so

@@ -8,7 +8,17 @@ val euler_step : Deriv.t -> float -> Numeric.Vec.t -> float -> Numeric.Vec.t
 (** [euler_step sys t x h] is the state after one explicit Euler step. *)
 
 val rk4_step : Deriv.t -> float -> Numeric.Vec.t -> float -> Numeric.Vec.t
-(** One classic Runge–Kutta-4 step. *)
+(** One classic Runge–Kutta-4 step: {!rk4_slice} on a copy of the
+    state. *)
+
+type rk4_scratch
+(** Stage buffers for {!rk4_slice}, for one system dimension. *)
+
+val rk4_scratch : int -> rk4_scratch
+
+val rk4_slice : rk4_scratch -> Deriv.t -> Numeric.Vec.t -> float -> unit
+(** [rk4_slice s sys x h] advances [x] in place by one classic RK4 step
+    of length [h], using only [s] as scratch (no allocation). *)
 
 type checkpoint = { ck_t : float; ck_x : float array }
 (** Loop-top mid-run state. The stepper keeps nothing between steps, so

@@ -132,3 +132,32 @@ let restrict tr keep =
     record sub tr.times.(i) row
   done;
   sub
+
+let copy tr =
+  {
+    tr with
+    times = Array.copy tr.times;
+    chunks = Array.map Array.copy tr.chunks;
+  }
+
+type clock = {
+  mutable now : float;
+  mutable next : float;
+  every : float;
+  t1 : float;
+}
+
+let clock ~who ?sample_dt t1 =
+  let every =
+    match sample_dt with
+    | Some dt when dt > 0. -> dt
+    | Some _ -> invalid_arg (who ^ ": sample_dt must be positive")
+    | None -> t1 /. 500.
+  in
+  { now = 0.; next = 0.; every; t1 }
+
+let record_due tr c state =
+  while c.next <= c.now && c.next <= c.t1 +. 1e-12 do
+    record tr c.next (state ());
+    c.next <- c.next +. c.every
+  done

@@ -44,3 +44,33 @@ val to_csv : t -> string
 
 val restrict : t -> string list -> t
 (** Sub-trace containing only the named species (same times). *)
+
+val copy : t -> t
+(** An independent trace with the same samples: recording into either
+    leaves the other unchanged. *)
+
+(** {1 Sample clock}
+
+    The stochastic engines record their state on a fixed grid: [0],
+    then every [every] time units (the grid times are accumulated sums,
+    [next +. every]), up to [t1 +. 1e-12]. *)
+
+type clock = {
+  mutable now : float;  (** the engine's simulated time *)
+  mutable next : float;  (** the next grid time to record *)
+  every : float;  (** grid spacing, the engines' [sample_dt] *)
+  t1 : float;  (** end of the run *)
+}
+(** The engine's time and its sample grid. All fields are floats, so the
+    record is stored flat and the engines' hot loops update it without
+    allocating. *)
+
+val clock : who:string -> ?sample_dt:float -> float -> clock
+(** [clock ~who ?sample_dt t1] starts at [now = next = 0.] with
+    [every = sample_dt] (default [t1 /. 500.]). Raises [Invalid_argument]
+    ["<who>: sample_dt must be positive"] on [sample_dt <= 0.]. *)
+
+val record_due : t -> clock -> (unit -> Numeric.Vec.t) -> unit
+(** [record_due tr c state] records [state ()] at each grid time from
+    [c.next] up to [c.now] (and at most [c.t1 +. 1e-12]), advancing
+    [c.next] past them. *)

@@ -38,8 +38,6 @@ val next_request : reader -> request option
 
 (** {2 Response serialization} *)
 
-val status_text : int -> string
-
 val response :
   ?headers:(string * string) list ->
   status:int ->

@@ -6,9 +6,6 @@
 
 type cache_outcome = Hit | Miss | Not_applicable
 
-val cache_string : cache_outcome -> string
-(** ["hit"], ["miss"], ["n/a"] — the wire encoding. *)
-
 type request = {
   queue_wait_ms : float;  (** time spent queued before a worker picked it up *)
   cache : cache_outcome;

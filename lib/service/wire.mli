@@ -2,15 +2,12 @@
 
     Frame format: a 4-byte big-endian payload length, then that many
     bytes of UTF-8 JSON. Every reader takes a [?max_frame] limit
-    (default {!default_max_frame}) and rejects a longer length prefix
+    (default 64 MiB) and rejects a longer length prefix
     with {!Oversized_frame} {e before} allocating or buffering the
     payload — a hostile 4-byte prefix can never request a multi-GB
     buffer, and a decoder configured with the daemon's (much smaller)
     per-connection limit refuses the frame as soon as the prefix is
     complete. *)
-
-val default_max_frame : int
-(** 64 MiB — the ceiling applied when the caller passes no [?max_frame]. *)
 
 exception Framing_error of string
 (** Stream desync: negative length prefix, EOF inside a frame, or a

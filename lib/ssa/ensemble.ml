@@ -34,7 +34,3 @@ let map ?pool ?jobs ?chunk ?oversubscribe ?seed ~runs f =
     ~init_worker:(fun () -> ())
     ~runs
     (fun () i s -> f i s)
-
-let mean_std ?pool ?jobs ?chunk ?seed ~runs f =
-  let xs = map ?pool ?jobs ?chunk ?seed ~runs f in
-  (Numeric.Stats.mean xs, Numeric.Stats.stddev xs)

@@ -54,13 +54,3 @@ val map_with :
     receives that state. [f w i si] must return the same value whatever
     the arena's prior contents (the simulators reset their arenas at the
     start of every run), preserving the byte-identical-output contract. *)
-
-val mean_std :
-  ?pool:Numeric.Domain_pool.Bounded.t ->
-  ?jobs:int ->
-  ?chunk:int ->
-  ?seed:int64 ->
-  runs:int ->
-  (int -> int64 -> float) ->
-  float * float
-(** Mean and sample standard deviation of {!map}'s results. *)

@@ -65,9 +65,10 @@ type arena
 (** A per-worker simulation arena: one model plus the reusable mutable
     scratch of a run (integer state vector, incremental-propensity
     engine). Passing an arena to {!run_result} skips the per-run
-    allocations; the run refills the state from the network's initial
-    state and fully rebuilds the engine first, so a reused arena
-    produces bitwise the same trajectory as a fresh one. An arena is
+    allocations (a run without one makes a fresh arena); the run refills
+    the state from the network's initial state and fully rebuilds the
+    engine first, so a reused arena produces bitwise the same trajectory
+    as a fresh one. An arena is
     {e not} thread-safe — give each domain its own (see
     {!Ensemble.map_with}). *)
 
@@ -123,20 +124,3 @@ val run :
   Crn.Network.t ->
   result
 (** Like {!run_result} but raises {!Error} on an exhausted event budget. *)
-
-val mean_final :
-  ?env:Crn.Rates.env ->
-  ?runs:int ->
-  ?jobs:int ->
-  ?seed:int64 ->
-  t1:float ->
-  Crn.Network.t ->
-  string ->
-  float * float
-(** [mean_final ~t1 net species] runs the SSA [runs] times (default 20)
-    with per-trajectory streams split off [seed], fanned across [jobs]
-    domains via {!Ensemble.map_with} (default {!Ensemble.default_jobs}),
-    and returns mean and sample standard deviation of the species' final
-    count. The model is compiled once and shared; each worker domain
-    reuses one {!arena} across its trajectories. Results are identical
-    for every [jobs] value. *)

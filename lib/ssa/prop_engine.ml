@@ -1,7 +1,6 @@
-(* Incremental-propensity engine, extracted verbatim from the Gillespie
-   direct-method loop so the hybrid engine's exact-stochastic mode runs
-   literally the same arithmetic (see prop_engine.mli for the bitwise
-   contract).
+(* Incremental-propensity engine and the direct-method event on it, the
+   one exact-SSA step of both Gillespie and the hybrid engine's discrete
+   mode (see prop_engine.mli for the bitwise contract).
 
    The naive direct method recomputes every propensity and their full sum
    after each event — O(R) per event. Here the compiled network's
@@ -158,4 +157,32 @@ let select e counts u =
         Array.iteri (fun i a -> if a > 0. then last := i) e.props;
         !last
       end
+  end
+
+(* One direct-method event; [false] once the run is over. The clock is
+   a flat float record, so advancing it allocates nothing. *)
+let hold (clock : Ode.Trace.clock) sample =
+  clock.now <- clock.t1;
+  sample ();
+  false
+
+let event e rng counts ~refresh_every (clock : Ode.Trace.clock) ~sample =
+  if e.since_refresh >= refresh_every then refresh e counts;
+  (* the compensated total may have decayed to zero or drifted: rebuild
+     before declaring the system dead *)
+  if total e <= 0. then refresh e counts;
+  if total e <= 0. then hold clock sample
+  else begin
+    clock.now <- clock.now +. Numeric.Rng.exponential rng (total e);
+    if clock.now > clock.t1 then hold clock sample
+    else begin
+      sample ();
+      let j = select e counts (Numeric.Rng.float rng) in
+      if j < 0 then hold clock sample
+      else begin
+        Compiled.apply e.reactions.(j) counts 1;
+        update e counts j;
+        true
+      end
+    end
   end

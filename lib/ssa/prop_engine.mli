@@ -2,16 +2,17 @@
 
     One engine holds the from-scratch-correct propensity table of a
     compiled network plus the grouped partial sums and compensated total
-    that make event selection O(sqrt R): {!Gillespie} runs its whole
-    event loop on it, and the hybrid engine ({!Hybrid.Engine}) reuses it
-    verbatim whenever its dynamic partition leaves every reaction in the
-    exact-stochastic subset — which is what makes the hybrid trajectory
-    {e bitwise identical} to pure Gillespie on networks that never cross
-    the population threshold.
+    that make event selection O(sqrt R). {!event} is the one
+    direct-method step: {!Gillespie} runs every event through it, and so
+    does the hybrid engine ({!Hybrid.Engine}) whenever its dynamic
+    partition leaves every reaction in the exact-stochastic subset —
+    which makes the hybrid trajectory {e bitwise identical} to pure
+    Gillespie, by construction, on networks that never cross the
+    population threshold.
 
-    The record is exposed transparently because the simulators' hot
-    loops read [since_refresh] and the scratch arrays directly; treat it
-    as owned by this module everywhere else. Invariants:
+    The record is exposed transparently because the hybrid engine's
+    partition reads [props] directly; treat it as owned by this module
+    everywhere else. Invariants:
 
     - [props.(i)] always equals the from-scratch propensity of reaction
       [i] (affected entries are recomputed exactly after each firing,
@@ -76,3 +77,23 @@ val select : t -> int array -> float -> int
     float-drift miss it rebuilds once and re-searches with the same
     draw (no extra RNG consumption), then falls back to the last
     positive propensity; [-1] iff no reaction can fire. *)
+
+val event :
+  t ->
+  Numeric.Rng.t ->
+  int array ->
+  refresh_every:int ->
+  Ode.Trace.clock ->
+  sample:(unit -> unit) ->
+  bool
+(** [event e rng counts ~refresh_every clock ~sample] runs one
+    direct-method event from [clock.now]: a full {!refresh} once
+    [refresh_every] updates have accumulated (and whenever the total is
+    not positive), an exponential waiting time at rate {!total},
+    [sample ()] at the new time, a {!select} on a second uniform draw,
+    and the firing with its {!update}. Returns [true] when a reaction
+    fired. Returns [false] when the run is over (no reaction can fire,
+    or the next event falls past [clock.t1]): the state is then held,
+    [clock.now] is [clock.t1] and [sample ()] has run. This is the whole
+    exact-SSA step of {!Gillespie} and of the hybrid engine's discrete
+    mode. *)

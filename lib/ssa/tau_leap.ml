@@ -118,77 +118,46 @@ type checkpoint = {
   ck_trace : Ode.Trace.t;
 }
 
-let copy_trace tr =
-  let fresh = Ode.Trace.create ~names:(Ode.Trace.names tr) in
-  Array.iteri
-    (fun i t -> Ode.Trace.record fresh t (Ode.Trace.state_at_index tr i))
-    (Ode.Trace.times tr);
-  fresh
-
 let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
     ?(epsilon = 0.03) ?(max_steps = 10_000_000) ?model ?arena
     ?(cancel = Numeric.Cancel.never) ?resume ?on_cancel ~t1 net =
   if t1 <= 0. then invalid_arg "Tau_leap.run: t1 must be positive";
-  let sample_dt =
-    match sample_dt with
-    | Some dt when dt > 0. -> dt
-    | Some _ -> invalid_arg "Tau_leap.run: sample_dt must be positive"
-    | None -> t1 /. 500.
-  in
+  let clock = Ode.Trace.clock ~who:"Tau_leap.run" ?sample_dt t1 in
   let rng = Numeric.Rng.create seed in
-  let model =
+  let arena =
     match (arena, model) with
-    | Some a, _ -> a.a_model
-    | None, Some m -> m
-    | None, None -> compile_model env net
+    | Some a, _ -> a
+    | None, Some m -> make_arena m
+    | None, None -> make_arena (compile_model env net)
   in
+  let model = arena.a_model in
   let init = Crn.Network.initial_state net in
   if Array.length init <> model.n_species then
     invalid_arg "Tau_leap.run: network does not match the compiled model";
   let reactions = model.reactions and g = model.g and n = model.n_species in
-  (* with an arena, refill the state vector in place; every other buffer
-     is rewritten before it is read, so no previous run can leak in *)
-  let counts =
-    match arena with
-    | Some a ->
-        let c = a.a_counts in
-        for i = 0 to Array.length c - 1 do
-          c.(i) <- int_of_float (Float.round init.(i))
-        done;
-        c
-    | None -> Array.map (fun x -> int_of_float (Float.round x)) init
-  in
+  (* refill the state vector in place; every other buffer is rewritten
+     before it is read, so no previous run can leak in *)
+  let counts = arena.a_counts in
+  Array.iteri (fun i x -> counts.(i) <- int_of_float (Float.round x)) init;
   let trace =
     match resume with
-    | Some ck -> copy_trace ck.ck_trace
+    | Some ck -> Ode.Trace.copy ck.ck_trace
     | None -> Ode.Trace.create ~names:(Crn.Network.species_names net)
   in
   let snapshot () = Array.map float_of_int counts in
-  let m = Array.length reactions in
-  let props, mu, sigma2, saved =
-    match arena with
-    | Some a -> (a.a_props, a.a_mu, a.a_sigma2, a.a_saved)
-    | None ->
-        (Array.make m 0., Array.make n 0., Array.make n 0., Array.make n 0)
-  in
-  let t = ref 0. in
-  let next_sample = ref 0. in
+  let record_due () = Ode.Trace.record_due trace clock snapshot in
+  let props = arena.a_props and mu = arena.a_mu and sigma2 = arena.a_sigma2
+  and saved = arena.a_saved in
   let n_leaps = ref 0 and n_exact = ref 0 and steps = ref 0 in
   let failure = ref None in
-  let record_due () =
-    while !next_sample <= !t && !next_sample <= t1 +. 1e-12 do
-      Ode.Trace.record trace !next_sample (snapshot ());
-      next_sample := !next_sample +. sample_dt
-    done
-  in
   (match resume with
   | None -> record_due ()
   | Some ck ->
       if Array.length ck.ck_counts <> n then
         invalid_arg "Tau_leap.run: checkpoint does not match the network";
       Array.blit ck.ck_counts 0 counts 0 n;
-      t := ck.ck_t;
-      next_sample := ck.ck_next_sample;
+      clock.now <- ck.ck_t;
+      clock.next <- ck.ck_next_sample;
       n_leaps := ck.ck_n_leaps;
       n_exact := ck.ck_n_exact;
       (* the loop-top [incr steps] replays the step the capture aborted *)
@@ -197,8 +166,8 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
   let capture () =
     {
       ck_counts = Array.copy counts;
-      ck_t = !t;
-      ck_next_sample = !next_sample;
+      ck_t = clock.now;
+      ck_next_sample = clock.next;
       ck_n_leaps = !n_leaps;
       ck_n_exact = !n_exact;
       ck_steps = !steps;
@@ -207,17 +176,17 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
     }
   in
   (try
-     while !t < t1 do
+     while clock.now < t1 do
        incr steps;
        if !steps >= max_steps then begin
-         failure := Some (Max_steps_exceeded { max_steps; t = !t });
+         failure := Some (Max_steps_exceeded { max_steps; t = clock.now });
          raise Exit
        end;
        Numeric.Cancel.guard cancel;
        Array.iteri (fun j r -> props.(j) <- Compiled.propensity r counts) reactions;
        let total = Array.fold_left ( +. ) 0. props in
        if total <= 0. then begin
-         t := t1;
+         clock.now <- t1;
          record_due ();
          raise Exit
        end;
@@ -228,7 +197,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
             tau-selection overhead is amortized on stiff stretches *)
          let batch = ref 50 in
          let continue = ref true in
-         while !continue && !batch > 0 && !t < t1 do
+         while !continue && !batch > 0 && clock.now < t1 do
            Array.iteri
              (fun j r -> props.(j) <- Compiled.propensity r counts)
              reactions;
@@ -236,9 +205,9 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
            if total <= 0. then continue := false
            else begin
              let dt = Numeric.Rng.exponential rng total in
-             t := Float.min t1 (!t +. dt);
+             clock.now <- Float.min t1 (clock.now +. dt);
              record_due ();
-             if !t < t1 then begin
+             if clock.now < t1 then begin
                let j = Numeric.Rng.pick_weighted rng props in
                Compiled.apply reactions.(j) counts 1;
                incr n_exact
@@ -253,16 +222,16 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
            if tries = 0 then begin
              (* degenerate: fall back to one exact event *)
              let dt = Numeric.Rng.exponential rng total in
-             t := Float.min t1 (!t +. dt);
+             clock.now <- Float.min t1 (clock.now +. dt);
              record_due ();
-             if !t < t1 then begin
+             if clock.now < t1 then begin
                let j = Numeric.Rng.pick_weighted rng props in
                Compiled.apply reactions.(j) counts 1;
                incr n_exact
              end
            end
            else begin
-             let tau = Float.min tau (t1 -. !t) in
+             let tau = Float.min tau (t1 -. clock.now) in
              let fires = Array.map (fun a -> poisson rng (a *. tau)) props in
              Array.blit counts 0 saved 0 n;
              Array.iteri
@@ -273,7 +242,7 @@ let run_result ?(env = Crn.Rates.default_env) ?(seed = 1L) ?sample_dt
                attempt (tau /. 2.) (tries - 1)
              end
              else begin
-               t := !t +. tau;
+               clock.now <- clock.now +. tau;
                record_due ();
                incr n_leaps
              end
@@ -300,26 +269,3 @@ let run ?env ?seed ?sample_dt ?epsilon ?max_steps ?model ?arena ?cancel
   with
   | Ok r -> r
   | Stdlib.Error err -> raise (Error err)
-
-let mean_final ?(env = Crn.Rates.default_env) ?(runs = 20) ?jobs ?(seed = 42L)
-    ~t1 net species =
-  if runs < 1 then invalid_arg "Tau_leap.mean_final: runs must be >= 1";
-  let idx =
-    match Crn.Network.find_species net species with
-    | Some i -> i
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Tau_leap.mean_final: unknown species %S" species)
-  in
-  (* compile once, share the immutable model; one reusable arena per
-     worker domain *)
-  let model = compile_model env net in
-  let xs =
-    Ensemble.map_with ?jobs ~seed
-      ~init_worker:(fun () -> make_arena model)
-      ~runs
-      (fun arena _ s ->
-        let { final; _ } = run ~seed:s ~arena ~t1 net in
-        final.(idx))
-  in
-  (Numeric.Stats.mean xs, Numeric.Stats.stddev xs)

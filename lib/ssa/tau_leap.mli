@@ -36,9 +36,9 @@ val compile_model : Crn.Rates.env -> Crn.Network.t -> model
 type arena
 (** A per-worker arena: one model plus the stepper's reusable mutable
     scratch (state vector, propensities, tau-selection moments, the
-    leap-rollback snapshot). Every buffer is rewritten before it is
-    read, so a reused arena produces bitwise the same trajectory as a
-    fresh one. Not thread-safe — give each domain its own (see
+    leap-rollback snapshot). A run without one makes a fresh arena.
+    Every buffer is rewritten before it is read, so a reused arena
+    produces bitwise the same trajectory as a fresh one. Not thread-safe — give each domain its own (see
     {!Ensemble.map_with}). *)
 
 val make_arena : model -> arena
@@ -100,21 +100,6 @@ val run :
   Crn.Network.t ->
   result
 (** Like {!run_result} but raises {!Error} on an exhausted step budget. *)
-
-val mean_final :
-  ?env:Crn.Rates.env ->
-  ?runs:int ->
-  ?jobs:int ->
-  ?seed:int64 ->
-  t1:float ->
-  Crn.Network.t ->
-  string ->
-  float * float
-(** Tau-leaping counterpart of {!Gillespie.mean_final}: [runs]
-    trajectories with split per-trajectory streams, fanned across [jobs]
-    domains via {!Ensemble.map_with} — the model is compiled once and
-    shared, each worker reuses one {!arena}; returns mean and sample
-    standard deviation of the species' final count. *)
 
 val poisson : Numeric.Rng.t -> float -> int
 (** Sample Poisson(mean): inversion for small means, normal approximation

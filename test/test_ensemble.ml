@@ -206,14 +206,27 @@ let test_ensemble_parallel_identical () =
         (go jobs = seq))
     [ 2; 3; 6 ]
 
+(* Mean and sample standard deviation of one species' final value over
+   an ensemble: the model compiled once, one arena per worker domain. *)
+let mean_final ~jobs ~seed ~runs ~arena ~run net species =
+  let idx = Option.get (Network.find_species net species) in
+  let xs =
+    Ssa.Ensemble.map_with ~jobs ~seed ~init_worker:arena ~runs (fun a _ s ->
+        (run a s : float array).(idx))
+  in
+  (Numeric.Stats.mean xs, Numeric.Stats.stddev xs)
+
 let test_ensemble_mean_final_jobs_invariant () =
   let net = Designs.Catalog.build "clock4" in
-  let m1, s1 =
-    Ssa.Gillespie.mean_final ~runs:5 ~jobs:1 ~seed:9L ~t1:10. net "clk.P0"
+  let model = Ssa.Gillespie.compile_model Rates.default_env net in
+  let go jobs =
+    mean_final ~jobs ~seed:9L ~runs:5
+      ~arena:(fun () -> Ssa.Gillespie.make_arena model)
+      ~run:(fun arena seed ->
+        (Ssa.Gillespie.run ~seed ~arena ~t1:10. net).final)
+      net "clk.P0"
   in
-  let m4, s4 =
-    Ssa.Gillespie.mean_final ~runs:5 ~jobs:4 ~seed:9L ~t1:10. net "clk.P0"
-  in
+  let m1, s1 = go 1 and m4, s4 = go 4 in
   Alcotest.(check (float 0.)) "mean identical" m1 m4;
   Alcotest.(check (float 0.)) "std identical" s1 s4
 
@@ -296,8 +309,16 @@ let test_tau_leap_mean_final () =
   Network.set_init net a 4000.;
   Network.add_reaction net
     (Reaction.make ~reactants:[ (a, 1) ] ~products:[ (b, 1) ] Rates.slow);
-  let m1, _ = Ssa.Tau_leap.mean_final ~runs:6 ~jobs:1 ~seed:3L ~t1:1. net "A" in
-  let m2, _ = Ssa.Tau_leap.mean_final ~runs:6 ~jobs:3 ~seed:3L ~t1:1. net "A" in
+  let model = Ssa.Tau_leap.compile_model Rates.default_env net in
+  let go jobs =
+    fst
+      (mean_final ~jobs ~seed:3L ~runs:6
+         ~arena:(fun () -> Ssa.Tau_leap.make_arena model)
+         ~run:(fun arena seed ->
+           (Ssa.Tau_leap.run ~seed ~arena ~t1:1. net).final)
+         net "A")
+  in
+  let m1 = go 1 and m2 = go 3 in
   Alcotest.(check (float 0.)) "jobs invariant" m1 m2;
   (* 4000 e^-1 ~ 1472; generous statistical bound *)
   Alcotest.(check bool) "near analytic" true (Float.abs (m1 -. 1472.) < 150.)

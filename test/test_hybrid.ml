@@ -193,10 +193,63 @@ let test_ensemble_deterministic_across_jobs_and_chunks () =
 
 let test_mean_final_deterministic () =
   let net = counter2 () in
-  let m1, s1 = Hybrid.Engine.mean_final ~runs:6 ~jobs:1 ~t1:10. net "ctr.bit0" in
-  let m2, s2 = Hybrid.Engine.mean_final ~runs:6 ~jobs:3 ~t1:10. net "ctr.bit0" in
+  let model = Hybrid.Engine.compile_model Rates.default_env net in
+  let go jobs =
+    Test_ensemble.mean_final ~jobs ~seed:42L ~runs:6
+      ~arena:(fun () -> Hybrid.Engine.make_arena model)
+      ~run:(fun arena seed ->
+        (Hybrid.Engine.run ~seed ~arena ~t1:10. net).final)
+      net "ctr.bit0"
+  in
+  let m1, s1 = go 1 and m2, s2 = go 3 in
   Alcotest.(check (float 0.)) "mean independent of jobs" m1 m2;
   Alcotest.(check (float 0.)) "std independent of jobs" s1 s2
+
+(* --------------------------------------------------------------- pinned *)
+
+(* Trajectories through the mixed gear, bit for bit, pinned before the
+   engine's RK4 slice and sample clock were shared: the tau gear on a
+   populous flip-flop, and a decay that starts mixed and hands back to
+   the exact gear. *)
+let test_mixed_digests () =
+  List.iter
+    (fun (name, run, want) ->
+      let h : Hybrid.Engine.result = run () in
+      Alcotest.(check bool)
+        (name ^ ": integrated") true
+        (h.stats.n_ode_steps > 0);
+      Alcotest.(check string) name want (Test_ode.trace_digest h.trace))
+    [
+      ( "tau gear",
+        (fun () ->
+          Hybrid.Engine.run ~seed:5L ~pop_threshold:1000. ~prop_threshold:1000.
+            ~t1:2. (tau_network ())),
+        "2cfc3ec7ae265898a2e005995c1c893c" );
+      ( "crossing down",
+        (fun () ->
+          Hybrid.Engine.run ~seed:7L ~pop_threshold:500. ~prop_threshold:100.
+            ~t1:8. (decay_network 3000.)),
+        "663b1fe992daf1dca64f1f500f7ea0e3" );
+    ]
+
+(* A discrete-mode run allocates no more minor words than when it
+   mirrored Gillespie's loop instead of sharing its event. *)
+let test_discrete_minor_words () =
+  let net = counter2 () in
+  let arena =
+    Hybrid.Engine.make_arena (Hybrid.Engine.compile_model Rates.default_env net)
+  in
+  let h, words =
+    Test_ssa.minor_words (fun () ->
+        Hybrid.Engine.run ~seed:7L ~arena ~t1:20. net)
+  in
+  Alcotest.(check int) "discrete throughout" 0 h.stats.n_mode_switches;
+  let bound = 7_126_567 in
+  if words > bound then
+    Alcotest.failf "%d minor words over %d events (%.2f/event), bound %d" words
+      h.n_events
+      (float_of_int words /. float_of_int h.n_events)
+      bound
 
 (* --------------------------------------------------------- error paths *)
 
@@ -300,5 +353,7 @@ let suite =
     ("work budget error", `Quick, test_budget_error);
     ("cancellation", `Quick, test_cancellation);
     ("invalid arguments", `Quick, test_invalid_args);
+    ("mixed-mode trajectories pinned", `Quick, test_mixed_digests);
+    ("discrete-mode minor words pinned", `Quick, test_discrete_minor_words);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests

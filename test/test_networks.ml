@@ -124,8 +124,15 @@ let test_approximate_majority_converges () =
   Alcotest.(check (float 0.5)) "X wins all 100" 100. xf.(sp "X");
   Alcotest.(check (float 0.5)) "Y extinct" 0. xf.(sp "Y");
   (* stochastic: strong majority wins almost surely *)
-  let mean, _ = Ssa.Gillespie.mean_final ~runs:8 ~seed:11L ~t1:5. net "X" in
-  Alcotest.(check bool) "SSA majority outcome" true (mean > 90.)
+  let model = Ssa.Gillespie.compile_model Crn.Rates.default_env net in
+  let xs =
+    Ssa.Ensemble.map_with ~seed:11L ~runs:8
+      ~init_worker:(fun () -> Ssa.Gillespie.make_arena model)
+      (fun arena _ seed ->
+        (Ssa.Gillespie.run ~seed ~arena ~t1:5. net).final.(sp "X"))
+  in
+  Alcotest.(check bool) "SSA majority outcome" true
+    (Numeric.Stats.mean xs > 90.)
 
 let test_majority_conserves_population () =
   let net = load "approximate_majority.crn" in

@@ -392,16 +392,16 @@ let test_csr_matches_reference_on_catalog () =
       let net = entry.Designs.Catalog.build () in
       let env = Rates.default_env in
       let sys = Ode.Deriv.compile env net in
-      let rsys = Ode.Deriv.Reference.compile env net in
+      let rsys = Deriv_reference.compile env net in
       let n = Ode.Deriv.dim sys in
       let check label x =
         let dx = Array.make n 0. and dx' = Array.make n 0. in
         Ode.Deriv.f sys 0. x dx;
-        Ode.Deriv.Reference.f rsys 0. x dx';
+        Deriv_reference.f rsys 0. x dx';
         if dx <> dx' then
           Alcotest.failf "%s (%s): flat RHS differs from reference"
             entry.Designs.Catalog.name label;
-        if Ode.Deriv.jacobian sys x <> Ode.Deriv.Reference.jacobian rsys x then
+        if Ode.Deriv.jacobian sys x <> Deriv_reference.jacobian rsys x then
           Alcotest.failf "%s (%s): flat Jacobian differs from reference"
             entry.Designs.Catalog.name label
       in
@@ -525,15 +525,15 @@ let qcheck_tests =
         and nr = 1 + Numeric.Rng.int rng 10 in
         let net = random_float_network rng ~ns ~nr in
         let sys = Ode.Deriv.compile Rates.default_env net in
-        let rsys = Ode.Deriv.Reference.compile Rates.default_env net in
+        let rsys = Deriv_reference.compile Rates.default_env net in
         let n = Network.n_species net in
         let srng = Numeric.Rng.create (Int64.of_int state_seed) in
         let x = Array.init n (fun _ -> 10. *. Numeric.Rng.float srng) in
         let dx = Array.make n 0. and dx' = Array.make n 0. in
         Ode.Deriv.f sys 0. x dx;
-        Ode.Deriv.Reference.f rsys 0. x dx';
+        Deriv_reference.f rsys 0. x dx';
         dx = dx'
-        && Ode.Deriv.jacobian sys x = Ode.Deriv.Reference.jacobian rsys x);
+        && Ode.Deriv.jacobian sys x = Deriv_reference.jacobian rsys x);
     Test.make ~name:"ode: jacobian_into leaves no residue in a reused matrix"
       ~count:100
       (make Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000)))
@@ -553,15 +553,9 @@ let qcheck_tests =
         jac = Ode.Deriv.jacobian sys x2);
   ]
 
-(* Rosenbrock trajectories, bit for bit: the digest of the %h text of
-   every sample (time, then each species) of a one-period run of four
-   catalog designs, pinned from the dense-LU integrator. The LU skips
-   only exactly-zero work, so these must never move. *)
-let rosenbrock_digest name t1 =
-  let tr =
-    Ode.Driver.simulate ~method_:Ode.Driver.Rosenbrock ~thin:10 ~t1
-      (Designs.Catalog.build name)
-  in
+(* A trajectory, bit for bit: the digest of the %h text of every sample
+   (time, then each species). *)
+let trace_digest tr =
   let b = Buffer.create 65536 in
   let times = Ode.Trace.times tr in
   for i = 0 to Ode.Trace.length tr - 1 do
@@ -572,6 +566,33 @@ let rosenbrock_digest name t1 =
     Buffer.add_char b '\n'
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Rosenbrock trajectories of a one-period run of four catalog designs,
+   pinned from the dense-LU integrator. The LU skips only exactly-zero
+   work, so these must never move. *)
+let rosenbrock_digest name t1 =
+  trace_digest
+    (Ode.Driver.simulate ~method_:Ode.Driver.Rosenbrock ~thin:10 ~t1
+       (Designs.Catalog.build name))
+
+(* A fixed-step RK4 trajectory through the driver, with two injections
+   so it crosses segment boundaries, and its final state without a
+   trace; pinned before the driver's loops were folded into one. *)
+let test_rk4_digest () =
+  let net = Designs.Catalog.build "clock4" in
+  let injections =
+    [
+      { Ode.Driver.at = 1.5; species = "clk.P0"; amount = 3. };
+      { Ode.Driver.at = 4.; species = "clk.P2"; amount = 2. };
+    ]
+  in
+  let method_ = Ode.Driver.Rk4 0.0005 in
+  let tr = Ode.Driver.simulate ~method_ ~injections ~thin:7 ~t1:6. net in
+  Alcotest.(check string)
+    "trace" "166ce6895f5d0eabb058bbb5142ba868" (trace_digest tr);
+  let final = Ode.Driver.final_state ~method_ ~injections ~t1:6. net in
+  Alcotest.(check (array (float 0.))) "final_state = last sample"
+    (Ode.Trace.last_state tr) final
 
 let test_rosenbrock_digests () =
   (* t1 stays below one clock period: 6.33 on the absence chassis,
@@ -663,6 +684,7 @@ let suite =
     ("steady found", `Quick, test_steady_found);
     ("steady not found", `Quick, test_steady_not_found);
     ("rosenbrock trajectories pinned", `Quick, test_rosenbrock_digests);
+    ("rk4 trajectory pinned", `Quick, test_rk4_digest);
     ("blow-up ends in step underflow", `Quick, test_blowup_ends);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests

@@ -200,6 +200,17 @@ let test_torn_writes () =
     (B.encode_file ~kind:"mrsc-model" ~version:S.sim_version
        (B.decode_file data).B.payload)
 
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* A fresh directory, removed with its contents when the test process
+   exits (after every test, so after the daemons the tests start in it
+   have stopped). *)
 let tmpdir =
   let count = ref 0 in
   fun () ->
@@ -210,6 +221,7 @@ let tmpdir =
         (Printf.sprintf "mrsc-snap-test-%d-%d" (Unix.getpid ()) !count)
     in
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    at_exit (fun () -> rm_rf d);
     d
 
 (* --------------------------------------------- bitwise engine resume *)
@@ -339,13 +351,21 @@ let resume_ode ~method_ ~polls () =
   let env = env_1000 in
   let t1 = 6. in
   let thin = 3 in
-  (* the checkpointable driver must first agree with the plain one *)
+  (* the checkpointable run, recording into a trace, must first agree
+     with the plain simulation *)
+  let traced ?cancel ?on_cancel ?resume ~env ~t1 net =
+    let trace = Ode.Trace.create ~names:(Crn.Network.species_names net) in
+    ignore
+      (Ode.Driver.run ~method_ ~env ~thin ?cancel ?on_cancel ?resume ~trace ~t1
+         net);
+    trace
+  in
   let plain = Ode.Driver.simulate ~method_ ~env ~thin ~t1 net in
-  let full = Ode.Driver.simulate_ck ~method_ ~env ~thin ~t1 net in
-  check_traces "ode: simulate_ck vs simulate" plain full;
+  let full = traced ~env ~t1 net in
+  check_traces "ode: run ~trace vs simulate" plain full;
   let captured = ref None in
   (match
-     Ode.Driver.simulate_ck ~method_ ~env ~thin
+     traced ~env
        ~cancel:(cancel_after polls)
        ~on_cancel:(fun ck -> captured := Some ck)
        ~t1 net
@@ -368,8 +388,7 @@ let resume_ode ~method_ ~polls () =
         match sc.S.sc_state with S.Ode_ck c -> c | _ -> assert false
       in
       let resumed =
-        Ode.Driver.simulate_ck ~method_ ~env:sc.S.sc_env ~thin ~resume:ck
-          ~t1:sc.S.sc_t1 sc.S.sc_net
+        traced ~env:sc.S.sc_env ~resume:ck ~t1:sc.S.sc_t1 sc.S.sc_net
       in
       check_traces "ode" full resumed;
       true)

@@ -41,7 +41,13 @@ let test_ssa_seed_changes_path () =
 let test_ssa_mean_matches_ode () =
   (* ensemble mean of the stochastic decay tracks the ODE solution *)
   let net = decay_network 400. in
-  let mean, _std = Ssa.Gillespie.mean_final ~runs:30 ~seed:7L ~t1:1. net "A" in
+  let model = Ssa.Gillespie.compile_model Rates.default_env net in
+  let finals =
+    Ssa.Ensemble.map_with ~seed:7L ~runs:30
+      ~init_worker:(fun () -> Ssa.Gillespie.make_arena model)
+      (fun arena _ seed -> (Ssa.Gillespie.run ~seed ~arena ~t1:1. net).final.(0))
+  in
+  let mean = Numeric.Stats.mean finals in
   let expected = 400. *. exp (-1.) in
   (* sd of a binomial(400, e^-1) is ~9.7; the mean of 30 runs ~1.8 *)
   Alcotest.(check bool) "within 6 sigma of ODE"
@@ -105,10 +111,7 @@ let test_ssa_invalid_args () =
       ignore (Ssa.Gillespie.run ~t1:0. net));
   Alcotest.check_raises "bad sample_dt"
     (Invalid_argument "Gillespie.run: sample_dt must be positive") (fun () ->
-      ignore (Ssa.Gillespie.run ~sample_dt:0. ~t1:1. net));
-  Alcotest.check_raises "unknown species"
-    (Invalid_argument "Gillespie.mean_final: unknown species \"zz\"")
-    (fun () -> ignore (Ssa.Gillespie.mean_final ~t1:1. net "zz"))
+      ignore (Ssa.Gillespie.run ~sample_dt:0. ~t1:1. net))
 
 (* ------------------------------------------------------------ Tau_leap *)
 
@@ -196,6 +199,65 @@ let test_tau_leap_invalid () =
     (Invalid_argument "Tau_leap.run: sample_dt must be positive") (fun () ->
       ignore (Ssa.Tau_leap.run ~sample_dt:(-1.) ~t1:1. net))
 
+(* ------------------------------------------------------------- pinned *)
+
+(* Minor-heap words allocated by the second of two identical calls (the
+   first pays one-time costs). The count is a pure function of the code
+   path, so it is exact on a given compiler and needs no host margin. *)
+let minor_words f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, int_of_float (Gc.minor_words () -. w0))
+
+(* Fixed-seed exact-SSA runs on a reused arena: the trace bit for bit,
+   and at most the minor words the runs allocated, both computed before
+   the direct-method event was shared with the hybrid engine. *)
+let test_ssa_pinned () =
+  List.iter
+    (fun (name, want, bound) ->
+      let net = Designs.Catalog.build name in
+      let model = Ssa.Gillespie.compile_model Rates.default_env net in
+      let arena = Ssa.Gillespie.make_arena model in
+      let r, words =
+        minor_words (fun () -> Ssa.Gillespie.run ~seed:7L ~arena ~t1:20. net)
+      in
+      Alcotest.(check string) name want (Test_ode.trace_digest r.trace);
+      if words > bound then
+        Alcotest.failf
+          "%s: %d minor words over %d events (%.2f/event), bound %d" name
+          words r.n_events
+          (float_of_int words /. float_of_int r.n_events)
+          bound)
+    [
+      ("clock4", "f9e65159867297cc13a4d7ae03701f8f", 6_147_934);
+      ("counter2", "a263b6b1b8f7fc9905364d80de5d583a", 7_048_910);
+      ("counter3", "cc068e793e07a420eb48a5e9cf97ffd6", 7_817_857);
+    ]
+
+(* Tau-leaping trajectories, bit for bit, pinned before the engines'
+   sample clock and trace copy were shared: counter2 runs on the exact
+   fallback throughout, a populous A + B -> C leaps. *)
+let test_tau_digests () =
+  let big = Network.create () in
+  let a = Network.species big "A" and b = Network.species big "B" in
+  let c = Network.species big "C" in
+  Network.set_init big a 100000.;
+  Network.set_init big b 80000.;
+  Network.add_reaction big
+    (Reaction.make ~reactants:[ (a, 1); (b, 1) ] ~products:[ (c, 1) ]
+       (Rates.slow_scaled 1e-5));
+  List.iter
+    (fun (name, net, t1, want, counts) ->
+      let r = Ssa.Tau_leap.run ~seed:7L ~t1 net in
+      Alcotest.(check string) name want (Test_ode.trace_digest r.trace);
+      Alcotest.(check (pair int int)) (name ^ ": leaps, exact events") counts
+        (r.n_leaps, r.n_exact))
+    [
+      ("counter2", Designs.Catalog.build "counter2", 20., "a263b6b1b8f7fc9905364d80de5d583a", (0, 161227));
+      ("A + B -> C", big, 2., "c22effa25aad1e55a835a815fb99fddb", (207, 350));
+    ]
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -233,5 +295,7 @@ let suite =
     ("tau-leap small counts exact", `Quick, test_tau_leap_small_counts_fall_back_exactly);
     ("tau-leap faster on large counts", `Quick, test_tau_leap_faster_on_large_counts);
     ("tau-leap invalid", `Quick, test_tau_leap_invalid);
+    ("ssa runs pinned", `Quick, test_ssa_pinned);
+    ("tau trajectories pinned", `Quick, test_tau_digests);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
